@@ -6,12 +6,9 @@ import (
 	"tengig/internal/units"
 )
 
-// The window coordinator, factored out of the barrier drivers: the channel
-// driver (Run's goroutine round-trips) and the spin driver (the barrier's
-// serial section) both feed shard reports through this one decision path, so
-// the two barrier implementations cannot drift apart — byte-identical
-// outputs across {chan, spin} fall out of sharing the code that picks
-// windows and routes messages.
+// The window coordinator: the decision code the barrier's serial section
+// runs once per window — absorb the shards' reports, pick the next window or
+// a terminal action, and route messages into per-shard inboxes.
 
 // horizonWindows bounds how far past the current window a shard's next-event
 // report must look. On the timing wheel an unbounded peek cascades far-future
@@ -26,7 +23,7 @@ type actKind uint8
 
 const (
 	actWindow actKind = iota
-	actProbe  // every in-horizon report empty but events exist beyond: need exact next-event times
+	actProbe          // every in-horizon report empty but events exist beyond: need exact next-event times
 	actDone
 	actStalled
 	actTimeout
@@ -54,7 +51,7 @@ type coord struct {
 	// pend holds undeliverable cross-shard messages per destination shard;
 	// inboxes holds the current window's sorted delivery batches. Both keep
 	// their backing arrays across windows — the preallocated per-shard-pair
-	// slots the spin barrier's serial section reuses without allocating.
+	// slots the barrier's serial section reuses without allocating.
 	pend    [][]crossMsg
 	inboxes [][]crossMsg
 }

@@ -21,7 +21,7 @@ func (r *Runner) merge(finals, setups []shardRes, c *coord, startLive int) (*Res
 	// compile count is that baseline; with sparse replicas each shard
 	// compiled a different slice, so the reference compile supplies it.
 	compiled, hwCompile := setups[0].executed, setups[0].hwCompile
-	if r.opts.Replica == ReplicaSparse {
+	if r.replica == ReplicaSparse {
 		compiled, hwCompile = r.ref.compiled, r.ref.hw
 	}
 	res := &Result{Plan: r.plan, Windows: c.windows}

@@ -11,21 +11,22 @@
 // on its own engine with the same seed, then activates only the flows whose
 // endpoints it owns (sends from local sources, auto-reads at local sinks,
 // telemetry on local connections), so foreign replicas stay silent and
-// execute no events. The replica comes in two shapes:
+// execute no events. The replica comes in two shapes, chosen by New from
+// the spec:
 //
-//   - Full (ReplicaFull): the entire spec, everywhere. Construction,
-//     addressing, and TCP handshakes are trivially bit-identical across
-//     shards, at O(topology) memory per shard.
-//   - Sparse (ReplicaSparse, the default where eligible): only the owned
-//     nodes, the one-hop stubs across cut links, and the nodes traversed by
-//     flows whose packets touch the shard (topo.BuildSubset). Skipped
-//     foreign handshakes become exact clock advances (sim.AdvanceTo) of
-//     their reference durations, recorded by one throwaway full compile in
-//     New; any timing deviation is detected at compile, not silently
-//     diverged. Memory drops to O(shard + cut), and because the replica no
-//     longer spans foreign far-future timers, the timing-wheel scheduler is
-//     the default again (bounded per-window peeks stay cheap — see
-//     sim.NextEventAtWithin); the heap remains the fallback.
+//   - Sparse, wherever the spec is eligible: only the owned nodes, the
+//     one-hop stubs across cut links, and the nodes traversed by flows whose
+//     packets touch the shard (topo.BuildSubset). Skipped foreign
+//     handshakes become exact clock advances (sim.AdvanceTo) of their
+//     reference durations, recorded by one throwaway full compile in New;
+//     any timing deviation is detected at compile, not silently diverged.
+//     Memory is O(shard + cut), and because the replica does not span
+//     foreign far-future timers, its engine runs the timing wheel (bounded
+//     per-window peeks stay cheap — see sim.NextEventAtWithin).
+//   - Full, the fallback (Runner.SparseFallback says why) and the
+//     equivalence reference: the entire spec, everywhere, on the heap
+//     scheduler. Construction, addressing, and TCP handshakes are trivially
+//     bit-identical across shards, at O(topology) memory per shard.
 //
 // Packets reach foreign nodes through boundary ports: on each shard, every
 // cut-link direction whose receiver is foreign gets a phys handoff hook that
@@ -40,19 +41,18 @@
 // work — the deterministic equivalent of a null message ("nothing before
 // t") — so idle grids cost barriers, not simulated windows.
 //
-// The barrier itself also comes in two shapes (Options.Barrier): the
-// channel driver round-trips a command and a response per shard per window
-// through the coordinator goroutine, while the spin driver (default)
-// synchronizes the shards on a sense-reversing spin barrier whose last
-// arriver runs the coordinator logic in-line and releases everyone with one
-// atomic flip — see barrier.go and spin.go. Both feed the same coord
-// decision code, so they execute identical window sequences.
+// The shards synchronize on a sense-reversing barrier whose last arriver
+// runs the coordinator logic in-line and releases everyone with one atomic
+// flip; waiters spin, yield, then park on a condition variable (barrier.go,
+// spin.go). Once a terminal action is published every shard sends one final
+// report — its results or its panic — on the run's report channel, and Run
+// collects them.
 //
 // # Determinism
 //
 // The crown-jewel constraint: telemetry, metrics, and fabric counters are
-// byte-identical for every shard count, barrier, and replica mode. The
-// mechanisms that carry the proof:
+// byte-identical for every shard count and replica shape. The mechanisms
+// that carry the proof:
 //
 //   - Event order. Engines order events by (time, creation time, seq);
 //     cross-shard deliveries are injected with the sender-side creation time
@@ -97,47 +97,17 @@ import (
 	"tengig/internal/units"
 )
 
-// Barrier selects the per-window synchronization implementation.
-type Barrier uint8
-
-const (
-	// BarrierSpin synchronizes shards on a sense-reversing spin barrier with
-	// a spin/park ladder; the coordinator logic runs in the last arriver.
-	BarrierSpin Barrier = iota
-	// BarrierChan round-trips window commands and responses through the
-	// coordinator goroutine's channels (the original implementation).
-	BarrierChan
-)
-
-func (b Barrier) String() string {
-	if b == BarrierChan {
-		return "chan"
-	}
-	return "spin"
-}
-
-// ParseBarrier parses "spin" or "chan".
-func ParseBarrier(s string) (Barrier, error) {
-	switch s {
-	case "spin":
-		return BarrierSpin, nil
-	case "chan":
-		return BarrierChan, nil
-	}
-	return 0, fmt.Errorf("pdes: unknown barrier %q (want spin or chan)", s)
-}
-
-// Replica selects how much of the topology each shard compiles.
+// Replica is the shape of the spec a shard compiles. New picks it from the
+// spec: sparse where eligible, full otherwise (Runner.SparseFallback reports
+// why).
 type Replica uint8
 
 const (
-	// ReplicaAuto tries sparse and falls back to full if the topology is
-	// ineligible (Runner.SparseFallback reports why).
-	ReplicaAuto Replica = iota
+	// replicaAuto is New's request: sparse where eligible, else full.
+	replicaAuto Replica = iota
 	// ReplicaFull compiles the whole spec on every shard.
 	ReplicaFull
-	// ReplicaSparse compiles each shard's subset only; New fails if the
-	// topology is ineligible.
+	// ReplicaSparse compiles each shard's subset only.
 	ReplicaSparse
 )
 
@@ -149,55 +119,6 @@ func (m Replica) String() string {
 		return "sparse"
 	}
 	return "auto"
-}
-
-// ParseReplica parses "auto", "full", or "sparse".
-func ParseReplica(s string) (Replica, error) {
-	switch s {
-	case "auto":
-		return ReplicaAuto, nil
-	case "full":
-		return ReplicaFull, nil
-	case "sparse":
-		return ReplicaSparse, nil
-	}
-	return 0, fmt.Errorf("pdes: unknown replica mode %q (want auto, full, or sparse)", s)
-}
-
-// Sched selects the shard engines' event scheduler.
-type Sched uint8
-
-const (
-	// SchedAuto uses the timing wheel for sparse replicas and the heap for
-	// full ones (a full replica's wheel spans the whole simulated time while
-	// holding only a shard's slice of the events, so per-window peeks would
-	// pay full-span slot scans; the heap peeks in O(1)).
-	SchedAuto Sched = iota
-	SchedHeap
-	SchedWheel
-)
-
-func (s Sched) String() string {
-	switch s {
-	case SchedHeap:
-		return "heap"
-	case SchedWheel:
-		return "wheel"
-	}
-	return "auto"
-}
-
-// ParseSched parses "auto", "heap", or "wheel".
-func ParseSched(s string) (Sched, error) {
-	switch s {
-	case "auto":
-		return SchedAuto, nil
-	case "heap":
-		return SchedHeap, nil
-	case "wheel":
-		return SchedWheel, nil
-	}
-	return 0, fmt.Errorf("pdes: unknown scheduler %q (want auto, heap, or wheel)", s)
 }
 
 // Options configures a parallel run.
@@ -218,17 +139,11 @@ type Options struct {
 	Telemetry *telemetry.Options
 	// Metrics folds the run into a fleet-level metrics accumulator.
 	Metrics bool
-	// Barrier picks the window synchronization (default BarrierSpin).
-	Barrier Barrier
-	// Replica picks the shard replica shape (default ReplicaAuto: sparse
-	// where eligible, full otherwise).
-	Replica Replica
-	// Sched picks the shard engines' scheduler (default SchedAuto).
-	Sched Sched
-	// SpinBudget overrides the spin barrier's tight-spin iteration count:
-	// 0 means adaptive (park almost immediately when the host has fewer
-	// CPUs than shards), < 0 means park immediately.
-	SpinBudget int
+
+	// replica lets package tests force ReplicaFull (the equivalence
+	// reference) or ReplicaSparse (New fails if the spec is ineligible);
+	// the zero value picks sparse where eligible.
+	replica Replica
 }
 
 // Result is a completed parallel run.
@@ -273,6 +188,7 @@ type Runner struct {
 	spec    *topo.Spec
 	plan    *topo.PartitionPlan
 	opts    Options
+	replica Replica // resolved: ReplicaFull or ReplicaSparse
 	engines []*sim.Engine
 
 	// Sparse-replica state (nil/zero under ReplicaFull).
@@ -282,8 +198,9 @@ type Runner struct {
 }
 
 // New partitions the spec and validates that a parallel run can be exact.
-// Under ReplicaAuto/ReplicaSparse it also runs one throwaway reference
-// compile to record per-flow handshake clocks and build each shard's subset.
+// With more than one shard it also runs one throwaway reference compile to
+// record per-flow handshake clocks and build each shard's sparse subset,
+// falling back to full replicas when the spec is ineligible.
 func New(spec *topo.Spec, opts Options) (*Runner, error) {
 	if opts.Shards == 0 {
 		opts.Shards = spec.Shards
@@ -301,17 +218,14 @@ func New(spec *topo.Spec, opts Options) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{spec: spec, plan: plan, opts: opts}
-	if opts.Shards <= 1 {
-		// A single shard compiles everything either way; normalize so Run
-		// takes the plain full-compile path.
-		r.opts.Replica = ReplicaFull
-	} else if r.opts.Replica != ReplicaFull {
+	// A single shard compiles everything either way, so it takes the plain
+	// full-compile path.
+	r := &Runner{spec: spec, plan: plan, opts: opts, replica: ReplicaFull}
+	if opts.Shards > 1 && opts.replica != ReplicaFull {
 		if err := r.prepareSparse(); err != nil {
-			if r.opts.Replica == ReplicaSparse {
+			if opts.replica == ReplicaSparse {
 				return nil, err
 			}
-			r.opts.Replica = ReplicaFull
 			r.sparseFallback = err
 		}
 	}
@@ -371,32 +285,27 @@ func (r *Runner) prepareSparse() error {
 		r.subs[i].ConnectAt = connT
 	}
 	r.ref = sparseRef{t0: eng.Now(), compiled: eng.Executed, hw: eng.HighWater}
-	r.opts.Replica = ReplicaSparse
+	r.replica = ReplicaSparse
 	return nil
 }
 
 // Plan returns the partition the runner will execute.
 func (r *Runner) Plan() *topo.PartitionPlan { return r.plan }
 
-// Replica reports the resolved replica mode (never ReplicaAuto after New).
-func (r *Runner) Replica() Replica { return r.opts.Replica }
+// Replica reports the replica shape the run will use.
+func (r *Runner) Replica() Replica { return r.replica }
 
-// SparseFallback reports why ReplicaAuto fell back to full replicas (nil
-// when sparse was used or never attempted).
+// SparseFallback reports why New fell back to full replicas (nil when sparse
+// was used or never attempted).
 func (r *Runner) SparseFallback() error { return r.sparseFallback }
 
-// Scheduler reports the per-shard event scheduler the run will use.
-func (r *Runner) Scheduler() sim.SchedulerKind { return r.schedKind() }
-
-// schedKind resolves the shard engines' scheduler.
-func (r *Runner) schedKind() sim.SchedulerKind {
-	switch r.opts.Sched {
-	case SchedHeap:
-		return sim.SchedHeap
-	case SchedWheel:
-		return sim.SchedWheel
-	}
-	if r.opts.Replica == ReplicaSparse {
+// Scheduler reports the per-shard event scheduler the run will use: the
+// timing wheel for sparse replicas, the heap for full ones (a full replica's
+// wheel spans the whole simulated time while holding only a shard's slice of
+// the events, so per-window peeks would pay full-span slot scans; the heap
+// peeks in O(1)).
+func (r *Runner) Scheduler() sim.SchedulerKind {
+	if r.replica == ReplicaSparse {
 		return sim.SchedWheel
 	}
 	return sim.SchedHeap
@@ -405,7 +314,7 @@ func (r *Runner) schedKind() sim.SchedulerKind {
 // Run executes the flows to completion and merges the shards' outputs.
 func (r *Runner) Run() (*Result, error) {
 	if r.engines == nil {
-		kind := r.schedKind()
+		kind := r.Scheduler()
 		r.engines = make([]*sim.Engine, r.plan.Shards)
 		for i := range r.engines {
 			r.engines[i] = sim.NewEngineWith(r.opts.Seed, kind)
@@ -415,185 +324,101 @@ func (r *Runner) Run() (*Result, error) {
 			eng.Reset(r.opts.Seed)
 		}
 	}
-	var sp *spinState
-	if r.opts.Barrier == BarrierSpin {
-		budget := r.opts.SpinBudget
-		switch {
-		case budget < 0:
-			budget = 0
-		case budget == 0:
-			budget = defaultSpinBudget(r.plan.Shards)
-		}
-		sp = newSpinState(r, budget)
-	}
-	shards := make([]*shard, r.plan.Shards)
-	for i := range shards {
-		shards[i] = &shard{
-			idx: i,
-			eng: r.engines[i],
-			cmd: make(chan shardCmd, 1),
-			res: make(chan shardRes, 1),
-			sp:  sp,
-		}
-		go r.runShard(shards[i])
+	n := r.plan.Shards
+	sp := newSpinState(r)
+	res := make(chan shardRes, n)
+	for i := 0; i < n; i++ {
+		go r.runShard(i, sp, res)
 	}
 
 	// Setup barrier: every shard compiles its replica and reports the
 	// construction fingerprint.
-	setups := make([]shardRes, len(shards))
-	var firstErr error
-	for i, s := range shards {
-		setups[i] = <-s.res
-		if setups[i].err != nil && firstErr == nil {
-			firstErr = setups[i].err
+	setups := make([]shardRes, n)
+	alive := n
+	var setupErr error
+	for i := 0; i < n; i++ {
+		m := <-res
+		setups[m.shard] = m
+		if m.err != nil {
+			alive--
+			if setupErr == nil {
+				setupErr = m.err
+			}
 		}
 	}
-	alive := func(i int) bool { return setups[i].err == nil }
-	if firstErr != nil {
-		if sp != nil {
-			// Failed shards never reach the spin loop; release the healthy
-			// ones straight to their command loops for shutdown.
-			sp.cur = action{kind: actError, err: firstErr}
-			close(sp.start)
-		}
-		r.shutdown(shards, alive)
-		return nil, firstErr
+	if setupErr == nil {
+		setupErr = r.checkSetups(setups)
 	}
-	// Cross-check the fingerprint. Full replicas must agree on everything;
-	// sparse replicas execute different slices of the construction, but the
-	// subset compile already asserted per-flow clock equality, so t0 against
-	// the reference is the residual invariant.
-	t0 := setups[0].t0
+	c := newCoord(r, setups[0].t0, len(r.spec.Flows))
+	act := action{kind: actError, err: setupErr}
 	startLive := 0
-	for i := range setups {
-		bad := setups[i].t0 != t0
-		if r.opts.Replica == ReplicaSparse {
-			bad = setups[i].t0 != r.ref.t0
-		} else {
-			bad = bad || setups[i].executed != setups[0].executed || setups[i].hwCompile != setups[0].hwCompile
+	if setupErr == nil {
+		// First action from the exact setup reports.
+		for i := range setups {
+			sp.nextAt[i], sp.hasNext[i] = setups[i].nextAt, setups[i].hasNext
+			startLive += setups[i].startLive
 		}
-		if bad {
-			if sp != nil {
-				sp.cur = action{kind: actError, err: nil}
-				close(sp.start)
-			}
-			r.shutdown(shards, alive)
-			return nil, fmt.Errorf("pdes: topo %s: shard %d replica diverged during compile (t0 %v vs %v, events %d vs %d): construction is not deterministic",
-				r.spec.Name, i, setups[i].t0, t0, setups[i].executed, setups[0].executed)
-		}
-		startLive += setups[i].startLive
+		act = c.step(sp.nextAt, sp.hasNext, sp.beyond)
 	}
 
-	// First action from the exact setup reports, then hand the loop to the
-	// chosen barrier driver.
-	c := newCoord(r, t0, len(r.spec.Flows))
-	nextAt := make([]units.Time, len(shards))
-	hasNext := make([]bool, len(shards))
-	beyond := make([]bool, len(shards))
-	for i := range setups {
-		nextAt[i], hasNext[i] = setups[i].nextAt, setups[i].hasNext
-	}
-	act := c.step(nextAt, hasNext, beyond)
-	if sp != nil {
-		return r.runSpin(shards, sp, c, act, setups, alive, startLive)
-	}
-	return r.runChan(shards, c, act, setups, alive, startLive, nextAt, hasNext, beyond)
-}
-
-// runChan drives the window loop over per-shard command/response channels.
-func (r *Runner) runChan(shards []*shard, c *coord, act action, setups []shardRes, alive func(int) bool, startLive int, nextAt []units.Time, hasNext, beyond []bool) (*Result, error) {
-	for {
-		switch act.kind {
-		case actWindow:
-			for i, s := range shards {
-				s.cmd <- shardCmd{kind: cmdWindow, windowEnd: act.wEnd, horizon: act.horizon, inbox: c.inboxes[i]}
-			}
-			for i, s := range shards {
-				res := <-s.res
-				if res.err != nil {
-					setups[i].err = res.err // mark dead for shutdown
-					r.shutdown(shards, alive)
-					return nil, res.err
-				}
-				c.absorb(i, res.out, res.completions)
-				nextAt[i], hasNext[i], beyond[i] = res.nextAt, res.hasNext, res.beyond
-			}
-			act = c.step(nextAt, hasNext, beyond)
-		case actProbe:
-			for _, s := range shards {
-				s.cmd <- shardCmd{kind: cmdProbe}
-			}
-			for i, s := range shards {
-				res := <-s.res
-				if res.err != nil {
-					setups[i].err = res.err
-					r.shutdown(shards, alive)
-					return nil, res.err
-				}
-				nextAt[i], hasNext[i] = res.nextAt, res.hasNext
-			}
-			act = c.probeResolve(nextAt, hasNext)
-		default:
-			return r.epilogue(shards, alive, setups, c, startLive, act)
+	// Hand the window loop to the shards. Every live shard sends exactly one
+	// final report — its results or its PanicError — once it sees the
+	// terminal action, so one collect both gathers results and joins the
+	// goroutines on every path.
+	sp.c = c
+	sp.cur = act
+	close(sp.start)
+	finals := make([]shardRes, n)
+	var finalErr error
+	for i := 0; i < alive; i++ {
+		m := <-res
+		finals[m.shard] = m
+		if m.err != nil && finalErr == nil {
+			finalErr = m.err
 		}
 	}
-}
-
-// epilogue turns a terminal action into the merged result or the typed
-// incompleteness error. Both barrier drivers land here.
-func (r *Runner) epilogue(shards []*shard, alive func(int) bool, setups []shardRes, c *coord, startLive int, act action) (*Result, error) {
-	finals, err := r.finish(shards, alive)
-	if err != nil {
-		return nil, err
-	}
-	switch act.kind {
-	case actDone:
+	// The shards read the terminal action before reporting, so sp.cur is
+	// final here.
+	act = sp.cur
+	switch {
+	case act.kind == actError:
+		return nil, act.err
+	case finalErr != nil:
+		return nil, finalErr
+	case act.kind == actDone:
 		return r.merge(finals, setups, c, startLive)
-	case actStalled:
+	case act.kind == actStalled:
 		return nil, r.incompleteErr(finals, true, c.lastEnd)
-	case actTimeout:
+	case act.kind == actTimeout:
 		return nil, r.incompleteErr(finals, false, c.lastEnd)
 	}
 	return nil, fmt.Errorf("pdes: topo %s: coordinator reached unexpected terminal state %d", r.spec.Name, act.kind)
 }
 
+// checkSetups cross-checks the shards' construction fingerprints. Full
+// replicas must agree on everything; sparse replicas execute different
+// slices of the construction, but the subset compile already asserted
+// per-flow clock equality, so t0 against the reference is the residual
+// invariant.
+func (r *Runner) checkSetups(setups []shardRes) error {
+	t0 := setups[0].t0
+	for i := range setups {
+		bad := setups[i].t0 != t0
+		if r.replica == ReplicaSparse {
+			bad = setups[i].t0 != r.ref.t0
+		} else {
+			bad = bad || setups[i].executed != setups[0].executed || setups[i].hwCompile != setups[0].hwCompile
+		}
+		if bad {
+			return fmt.Errorf("pdes: topo %s: shard %d replica diverged during compile (t0 %v vs %v, events %d vs %d): construction is not deterministic",
+				r.spec.Name, i, setups[i].t0, t0, setups[i].executed, setups[0].executed)
+		}
+	}
+	return nil
+}
+
 // unitsMax is a sentinel beyond any simulated time.
 const unitsMax = units.Time(1<<63 - 1)
-
-// finish collects every live shard's final report.
-func (r *Runner) finish(shards []*shard, alive func(int) bool) ([]shardRes, error) {
-	finals := make([]shardRes, len(shards))
-	var firstErr error
-	for i, s := range shards {
-		if !alive(i) {
-			continue
-		}
-		s.cmd <- shardCmd{kind: cmdFinish}
-	}
-	for i, s := range shards {
-		if !alive(i) {
-			continue
-		}
-		finals[i] = <-s.res
-		if finals[i].err != nil && firstErr == nil {
-			firstErr = finals[i].err
-		}
-	}
-	return finals, firstErr
-}
-
-// shutdown releases still-live shard goroutines after a failure. A shard
-// that already died (panicked) has queued its error report, which the drain
-// consumes in place of a finish response.
-func (r *Runner) shutdown(shards []*shard, alive func(int) bool) {
-	for i, s := range shards {
-		if !alive(i) {
-			continue
-		}
-		s.cmd <- shardCmd{kind: cmdFinish}
-		<-s.res
-	}
-}
 
 // incompleteErr builds the typed timeout/stall error from final flow state.
 func (r *Runner) incompleteErr(finals []shardRes, stalled bool, at units.Time) error {

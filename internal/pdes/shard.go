@@ -37,44 +37,22 @@ type crossMsg struct {
 	pk       *packet.Packet
 }
 
-type cmdKind uint8
-
-const (
-	cmdWindow cmdKind = iota
-	cmdProbe // report the exact next-event time (no horizon bound)
-	cmdFinish
-)
-
-// shardCmd is one coordinator instruction (channel driver only; the spin
-// driver publishes actions through spinState instead).
-type shardCmd struct {
-	kind      cmdKind
-	windowEnd units.Time // exclusive window bound (run events at < windowEnd)
-	horizon   units.Time // bound for the post-window next-event peek
-	inbox     []crossMsg // cross-shard deliveries due in this window, sorted
-}
-
-// shardRes is a shard's reply; fields are phase-dependent.
+// shardRes is a shard's report on the run's one report channel: first its
+// setup fingerprint, then — unless setup failed — its final results or its
+// error; fields are phase-dependent.
 type shardRes struct {
 	shard int
 	err   error
 
-	// Setup: replicated-construction fingerprint.
+	// Setup: replicated-construction fingerprint and the first next-event
+	// report (executed also reports the compile count).
 	t0        units.Time
 	hwCompile int
 	startLive int
+	nextAt    units.Time
+	hasNext   bool
 
-	// Windows: boundary traffic and progress. out aliases the shard's
-	// per-destination slots; the coordinator copies them out before the next
-	// window command. beyond distinguishes "no events at all" from "none
-	// inside the horizon".
-	out         [][]crossMsg
-	nextAt      units.Time
-	hasNext     bool
-	beyond      bool
-	completions int
-
-	// Finish (executed also reports the compile count at setup).
+	// Final.
 	executed    uint64
 	atoms       []sim.LiveAtom
 	bundle      *telemetry.Bundle
@@ -85,15 +63,6 @@ type shardRes struct {
 	srcConn     []string     // per flow: the source connection's name
 	dstConn     []string
 	syncWall    time.Duration // total time blocked on window synchronization
-}
-
-// shard is the coordinator's handle to one engine goroutine.
-type shard struct {
-	idx int
-	eng *sim.Engine
-	cmd chan shardCmd
-	res chan shardRes
-	sp  *spinState // nil under the channel barrier
 }
 
 // shardState is the goroutine-local world: the (full or sparse) replica plus
@@ -120,7 +89,7 @@ type shardState struct {
 }
 
 // runWindow resets the per-window slots, injects the inbox, and runs this
-// shard's slice of the window. Shared verbatim by both barrier drivers.
+// shard's slice of the window.
 func (st *shardState) runWindow(eng *sim.Engine, wEnd units.Time, inbox []crossMsg) {
 	for dst := range st.out {
 		st.out[dst] = st.out[dst][:0]
@@ -138,104 +107,83 @@ func (st *shardState) runWindow(eng *sim.Engine, wEnd units.Time, inbox []crossM
 }
 
 // runShard is the per-shard goroutine: compile the replica, activate local
-// endpoints, then serve barrier windows until told to finish. Panics are
-// contained into a runner.PanicError so one bad shard fails the run, not
-// the process. The goroutine carries a pprof label so CPU and allocation
-// profiles attribute parallel-run work to its shard.
-func (r *Runner) runShard(s *shard) {
+// endpoints, run windows until a terminal action, then send the final
+// report. Panics are contained into a runner.PanicError so one bad shard
+// fails the run, not the process. The goroutine carries a pprof label so CPU
+// and allocation profiles attribute parallel-run work to its shard.
+func (r *Runner) runShard(idx int, sp *spinState, res chan<- shardRes) {
 	defer func() {
 		if v := recover(); v != nil {
-			s.res <- shardRes{shard: s.idx, err: &runner.PanicError{
-				Index: s.idx,
-				Label: fmt.Sprintf("pdes shard %d/%d of %s", s.idx, r.plan.Shards, r.spec.Name),
-				Value: v,
-				Stack: debug.Stack(),
-			}}
+			res <- shardRes{shard: idx, err: r.shardPanic(idx, v)}
 		}
 	}()
-	pprof.Do(context.Background(), pprof.Labels("pdes_shard", strconv.Itoa(s.idx)), func(context.Context) {
-		r.shardBody(s)
+	pprof.Do(context.Background(), pprof.Labels("pdes_shard", strconv.Itoa(idx)), func(context.Context) {
+		st, setup := r.setupShard(idx, sp)
+		res <- setup
+		if setup.err != nil {
+			return
+		}
+		if err := r.spinLoop(idx, st, sp); err != nil {
+			res <- shardRes{shard: idx, err: err}
+			return
+		}
+		res <- r.finalReport(idx, st)
 	})
 }
 
-func (r *Runner) shardBody(s *shard) {
-	st, res := r.setupShard(s)
-	s.res <- res
-	if res.err != nil {
-		return
+// shardPanic wraps a recovered shard panic.
+func (r *Runner) shardPanic(idx int, v any) error {
+	return &runner.PanicError{
+		Index: idx,
+		Label: fmt.Sprintf("pdes shard %d/%d of %s", idx, r.plan.Shards, r.spec.Name),
+		Value: v,
+		Stack: debug.Stack(),
 	}
-	if s.sp != nil {
-		// Spin barrier: windows are driven shard-to-shard; come back here
-		// for the finish protocol once a terminal action is published.
-		if err := r.spinLoop(s, st, s.sp); err != nil {
-			s.res <- shardRes{shard: s.idx, err: err}
-			return
-		}
+}
+
+// finalReport gathers the shard's share of the merged result.
+func (r *Runner) finalReport(idx int, st *shardState) shardRes {
+	var atoms []sim.LiveAtom
+	if st.ledger != nil {
+		atoms = st.ledger.Atoms()
 	}
-	eng := s.eng
-	for {
-		t := time.Now()
-		c := <-s.cmd
-		st.syncWall += time.Since(t)
-		switch c.kind {
-		case cmdWindow:
-			st.runWindow(eng, c.windowEnd, c.inbox)
-			next, has := eng.NextEventAtWithin(c.horizon)
-			s.res <- shardRes{
-				shard: s.idx, out: st.out,
-				nextAt: next, hasNext: has,
-				beyond:      !has && eng.Pending() > 0,
-				completions: st.newlyDone,
-			}
-		case cmdProbe:
-			next, has := eng.NextEventAt()
-			s.res <- shardRes{shard: s.idx, nextAt: next, hasNext: has}
-		case cmdFinish:
-			var atoms []sim.LiveAtom
-			if st.ledger != nil {
-				atoms = st.ledger.Atoms()
-			}
-			for i, p := range st.net.Pairs {
-				if p != nil && r.plan.Owner[r.spec.Flows[i].Src] == s.idx {
-					st.retransmits[i] = p.Src.Conn.Stats.Retransmits
-				}
-			}
-			srcConn := make([]string, len(st.net.Pairs))
-			dstConn := make([]string, len(st.net.Pairs))
-			for i, p := range st.net.Pairs {
-				if p != nil {
-					srcConn[i], dstConn[i] = p.Src.Conn.Name(), p.Dst.Conn.Name()
-				}
-			}
-			s.res <- shardRes{
-				shard: s.idx, executed: eng.Executed,
-				atoms: atoms, bundle: st.bundle, fabric: st.net.FabricCounters(),
-				received: st.received, doneAt: st.doneAt,
-				retransmits: st.retransmits, srcConn: srcConn, dstConn: dstConn,
-				syncWall: st.syncWall,
-			}
-			return
+	srcConn := make([]string, len(st.net.Pairs))
+	dstConn := make([]string, len(st.net.Pairs))
+	for i, p := range st.net.Pairs {
+		if p == nil {
+			continue
 		}
+		if r.plan.Owner[r.spec.Flows[i].Src] == idx {
+			st.retransmits[i] = p.Src.Conn.Stats.Retransmits
+		}
+		srcConn[i], dstConn[i] = p.Src.Conn.Name(), p.Dst.Conn.Name()
+	}
+	return shardRes{
+		shard: idx, executed: r.engines[idx].Executed,
+		atoms: atoms, bundle: st.bundle, fabric: st.net.FabricCounters(),
+		received: st.received, doneAt: st.doneAt,
+		retransmits: st.retransmits, srcConn: srcConn, dstConn: dstConn,
+		syncWall: st.syncWall,
 	}
 }
 
 // setupShard compiles the replica and activates the locally-owned slice of
 // the simulation. The returned shardRes carries the construction fingerprint
 // the coordinator cross-checks.
-func (r *Runner) setupShard(s *shard) (*shardState, shardRes) {
+func (r *Runner) setupShard(idx int, sp *spinState) (*shardState, shardRes) {
 	fail := func(err error) (*shardState, shardRes) {
-		return nil, shardRes{shard: s.idx, err: err}
+		return nil, shardRes{shard: idx, err: err}
 	}
-	eng, spec, owner := s.eng, r.spec, r.plan.Owner
+	eng, spec, owner := r.engines[idx], r.spec, r.plan.Owner
 	var net *topo.Network
 	var err error
-	if r.opts.Replica == ReplicaSparse {
-		net, err = topo.CompileSubset(eng, spec, r.opts.Seed, r.subs[s.idx])
+	if r.replica == ReplicaSparse {
+		net, err = topo.CompileSubset(eng, spec, r.opts.Seed, r.subs[idx])
 	} else {
 		net, err = topo.Compile(eng, spec, r.opts.Seed)
 	}
 	if err != nil {
-		return fail(fmt.Errorf("pdes: shard %d: %w", s.idx, err))
+		return fail(fmt.Errorf("pdes: shard %d: %w", idx, err))
 	}
 	// Replica silence depends on a quiescent start: with pending timers a
 	// foreign replica would execute events of its own. Every shipped
@@ -255,9 +203,7 @@ func (r *Runner) setupShard(s *shard) (*shardState, shardRes) {
 		totals:      make([]int64, len(net.Pairs)),
 		retransmits: make([]int64, len(net.Pairs)),
 	}
-	if s.sp != nil {
-		s.sp.states[s.idx] = st
-	}
+	sp.states[idx] = st
 
 	// Boundary ports: for each cut-link direction, the sending shard hands
 	// packets off, the receiving shard registers the injection target. A
@@ -273,11 +219,11 @@ func (r *Runner) setupShard(s *shard) (*shardState, shardRes) {
 		receivers := [2]string{le.B, le.A}
 		for d := range ports {
 			port := ports[d]
-			if owner[receivers[d]] == s.idx {
+			if owner[receivers[d]] == idx {
 				st.inFns[[2]int{li, d}] = port.Deliver
 				continue
 			}
-			li, d, prop, shardIdx := li, uint8(d), le.Prop, s.idx
+			li, d, prop := li, uint8(d), le.Prop
 			dstShard := owner[receivers[d]]
 			port.SetHandoff(func(pk *packet.Packet) {
 				cp := netem.ClonePacket(pk)
@@ -291,7 +237,7 @@ func (r *Runner) setupShard(s *shard) (*shardState, shardRes) {
 				now := eng.Now()
 				st.out[dstShard] = append(st.out[dstShard], crossMsg{
 					link: li, dir: d, arrival: now + prop, ct: now,
-					srcShard: shardIdx, srcSeq: st.outSeq, pk: cp,
+					srcShard: idx, srcSeq: st.outSeq, pk: cp,
 				})
 				st.outSeq++
 			})
@@ -309,12 +255,12 @@ func (r *Runner) setupShard(s *shard) (*shardState, shardRes) {
 				continue
 			}
 			f := spec.Flows[i]
-			if owner[f.Src] == s.idx {
+			if owner[f.Src] == idx {
 				rec := st.bundle.Conn(p.Src.Conn.Name())
 				p.Src.Conn.SetTelemetry(rec)
 				p.Src.Conn.StartTelemetrySampler(opt.Interval())
 			}
-			if owner[f.Dst] == s.idx {
+			if owner[f.Dst] == idx {
 				rec := st.bundle.Conn(p.Dst.Conn.Name())
 				p.Dst.Conn.SetTelemetry(rec)
 				p.Dst.Conn.StartTelemetrySampler(opt.Interval())
@@ -330,7 +276,7 @@ func (r *Runner) setupShard(s *shard) (*shardState, shardRes) {
 	for i, p := range net.Pairs {
 		f := r.resolvedFlow(i)
 		st.totals[i] = int64(f.Count) * int64(f.Payload)
-		if p == nil || owner[f.Dst] != s.idx {
+		if p == nil || owner[f.Dst] != idx {
 			continue
 		}
 		i := i
@@ -344,14 +290,14 @@ func (r *Runner) setupShard(s *shard) (*shardState, shardRes) {
 	}
 	for i, p := range net.Pairs {
 		f := r.resolvedFlow(i)
-		if p != nil && owner[f.Src] == s.idx {
+		if p != nil && owner[f.Src] == idx {
 			p.Src.Send(st.totals[i], f.Payload, true, nil)
 		}
 	}
 
 	next, has := eng.NextEventAt()
 	return st, shardRes{
-		shard: s.idx,
+		shard: idx,
 		t0:    t0, executed: compiled, hwCompile: hwCompile,
 		startLive: eng.Pending(), nextAt: next, hasNext: has,
 	}

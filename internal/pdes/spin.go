@@ -3,23 +3,19 @@ package pdes
 import (
 	"fmt"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tengig/internal/runner"
-	"tengig/internal/sim"
 	"tengig/internal/units"
 )
 
-// The spin barrier driver. Where the channel driver parks every shard twice
-// per window on coordinator round-trips, here the shards synchronize among
-// themselves: each runs its window slice, arrives at the sense-reversing
-// barrier, and the last arriver executes the coordinator's serial section
-// in-line — absorbing outboxes, picking the next window, routing inboxes
-// into the preallocated per-shard slots — before one atomic sense flip
-// releases everyone into the next window. The main goroutine only sets up
-// the first action and then sleeps until a terminal action closes done.
+// The window driver. The shards synchronize among themselves: each runs its
+// window slice, arrives at the sense-reversing barrier, and the last arriver
+// executes the coordinator's serial section in-line — absorbing outboxes,
+// picking the next window, routing inboxes into the preallocated per-shard
+// slots — before one atomic sense flip releases everyone into the next
+// window. Run only publishes the first action, opens the start gate, and
+// collects the shards' final reports once a terminal action is published.
 //
 // Memory ordering: a shard's window work happens-before its barrier arrival
 // (atomic add); the serial section runs after every arrival and its writes
@@ -27,11 +23,10 @@ import (
 // before reading the published action — so the serial section may touch
 // every shard's engine and state without locks, race-detector-clean.
 type spinState struct {
-	r       *Runner
-	bar     *spinBarrier
-	c       *coord
-	engines []*sim.Engine
-	states  []*shardState // states[i] registered by shard i during setup
+	r      *Runner
+	bar    *spinBarrier
+	c      *coord
+	states []*shardState // states[i] registered by shard i during setup
 
 	// cur is the published action for the upcoming phase: written by the
 	// serial section (or by Run before the start gate opens), read by every
@@ -43,113 +38,86 @@ type spinState struct {
 	beyond  []bool
 
 	start chan struct{} // closed by Run once cur holds the first action
-	done  chan struct{} // closed by the serial section on a terminal action
 
-	errMu   sync.Mutex
-	err     error
-	errFlag atomic.Bool
+	// errs[i] is shard i's window panic, written before its arrival so the
+	// serial section sees it in the same phase.
+	errs []error
 }
 
-func newSpinState(r *Runner, budget int) *spinState {
+func newSpinState(r *Runner) *spinState {
 	n := r.plan.Shards
 	return &spinState{
 		r:       r,
-		bar:     newSpinBarrier(n, budget),
+		bar:     newSpinBarrier(n, tightSpins(n), 1<<7),
 		states:  make([]*shardState, n),
 		nextAt:  make([]units.Time, n),
 		hasNext: make([]bool, n),
 		beyond:  make([]bool, n),
 		start:   make(chan struct{}),
-		done:    make(chan struct{}),
+		errs:    make([]error, n),
 	}
 }
 
-// noteErr records the first shard panic; the serial section turns it into a
-// terminal actError before absorbing anything from the broken shard.
-func (sp *spinState) noteErr(err error) {
-	sp.errMu.Lock()
-	if sp.err == nil {
-		sp.err = err
-	}
-	sp.errMu.Unlock()
-	sp.errFlag.Store(true)
-}
-
-// spinLoop is a shard's life between setup and finish under the spin
-// barrier: run the published window, arrive, repeat until a terminal action.
-// A panicking shard records its error and keeps arriving as a zombie — the
-// barrier needs every participant — until the serial section publishes the
-// terminal actError; the returned error is then reported to the coordinator
-// in runShard. Wait time at the barrier accrues to st.syncWall.
-func (r *Runner) spinLoop(s *shard, st *shardState, sp *spinState) error {
+// spinLoop is a shard's life between setup and its final report: run the
+// published window, arrive, repeat until a terminal action. A panicking
+// shard records its error and keeps arriving as a zombie — the barrier
+// needs every participant — until the serial section publishes the terminal
+// actError; the returned error then becomes the shard's final report. Wait
+// time at the barrier accrues to st.syncWall.
+func (r *Runner) spinLoop(idx int, st *shardState, sp *spinState) error {
 	<-sp.start
-	var myErr error
 	for {
 		act := sp.cur
 		if act.kind != actWindow {
-			return myErr
+			return sp.errs[idx]
 		}
-		if myErr == nil {
-			if err := r.windowRecovered(s, st, act.wEnd, sp.c.inboxes[s.idx]); err != nil {
-				myErr = err
-				sp.noteErr(err)
-			}
+		if sp.errs[idx] == nil {
+			sp.errs[idx] = r.windowRecovered(idx, st, act.wEnd, sp.c.inboxes[idx])
 		}
 		t := time.Now()
-		sp.bar.arrive(s.idx, sp.serial)
+		sp.bar.arrive(sp.serial)
 		st.syncWall += time.Since(t)
 	}
 }
 
 // windowRecovered runs one window slice with panic containment.
-func (r *Runner) windowRecovered(s *shard, st *shardState, wEnd units.Time, inbox []crossMsg) (err error) {
+func (r *Runner) windowRecovered(idx int, st *shardState, wEnd units.Time, inbox []crossMsg) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			err = &runner.PanicError{
-				Index: s.idx,
-				Label: fmt.Sprintf("pdes shard %d/%d of %s", s.idx, r.plan.Shards, r.spec.Name),
-				Value: v,
-				Stack: debug.Stack(),
-			}
+			err = r.shardPanic(idx, v)
 		}
 	}()
-	st.runWindow(s.eng, wEnd, inbox)
+	st.runWindow(r.engines[idx], wEnd, inbox)
 	return nil
 }
 
 // serial is the barrier's serial section: the coordinator step, run by the
 // last arriver of each phase while every other shard is stopped at the
-// barrier. It publishes the next action in sp.cur and closes done when the
-// action is terminal.
+// barrier. It publishes the next action in sp.cur.
 func (sp *spinState) serial() {
 	defer func() {
 		if v := recover(); v != nil {
-			sp.noteErr(&runner.PanicError{
+			sp.cur = action{kind: actError, err: &runner.PanicError{
 				Index: -1,
-				Label: fmt.Sprintf("pdes spin coordinator of %s", sp.r.spec.Name),
+				Label: fmt.Sprintf("pdes coordinator of %s", sp.r.spec.Name),
 				Value: v,
 				Stack: debug.Stack(),
-			})
-			sp.errMu.Lock()
-			err := sp.err
-			sp.errMu.Unlock()
-			sp.cur = action{kind: actError, err: err}
-			close(sp.done)
+			}}
 		}
 	}()
-	if sp.errFlag.Load() {
-		sp.errMu.Lock()
-		err := sp.err
-		sp.errMu.Unlock()
-		sp.cur = action{kind: actError, err: err}
-		close(sp.done)
-		return
+	// A shard panic ends the run before anything of the broken shard is
+	// absorbed; the lowest failing shard is reported.
+	for _, err := range sp.errs {
+		if err != nil {
+			sp.cur = action{kind: actError, err: err}
+			return
+		}
 	}
 	c := sp.c
 	for i, st := range sp.states {
 		c.absorb(i, st.out, st.newlyDone)
 	}
-	for i, eng := range sp.engines {
+	for i, eng := range sp.r.engines {
 		at, ok := eng.NextEventAtWithin(c.horizon)
 		sp.nextAt[i], sp.hasNext[i] = at, ok
 		sp.beyond[i] = !ok && eng.Pending() > 0
@@ -158,34 +126,10 @@ func (sp *spinState) serial() {
 	if act.kind == actProbe {
 		// Engines are idle at the barrier: resolve the probe in place with
 		// exact peeks instead of another round.
-		for i, eng := range sp.engines {
+		for i, eng := range sp.r.engines {
 			sp.nextAt[i], sp.hasNext[i] = eng.NextEventAt()
 		}
 		act = c.probeResolve(sp.nextAt, sp.hasNext)
 	}
 	sp.cur = act
-	if act.kind != actWindow {
-		close(sp.done)
-	}
-}
-
-// runSpin drives a run under the spin barrier: publish the first action,
-// open the start gate, and sleep until the shards' serial sections reach a
-// terminal action.
-func (r *Runner) runSpin(shards []*shard, sp *spinState, c *coord, act action, setups []shardRes, alive func(int) bool, startLive int) (*Result, error) {
-	sp.c = c
-	sp.engines = r.engines
-	sp.cur = act
-	close(sp.start)
-	if act.kind == actWindow {
-		<-sp.done
-		act = sp.cur
-	}
-	if act.kind == actError {
-		// Healthy shards are back in their command loops; the zombie has
-		// already queued its error report, which shutdown's drain consumes.
-		r.shutdown(shards, alive)
-		return nil, act.err
-	}
-	return r.epilogue(shards, alive, setups, c, startLive, act)
 }
