@@ -33,7 +33,7 @@ func newSchedPair(seed int64) *schedPair {
 // check compares every observable between the two engines.
 func (p *schedPair) check() error {
 	if p.wheel.Now() != p.heap.Now() {
-		return fmt.Errorf("clocks diverged: wheel %v, heap %v", p.wheel.Now(), p.heap.Now())
+		return fmt.Errorf("clocks diverged: wheel %d ps, heap %d ps", int64(p.wheel.Now()), int64(p.heap.Now()))
 	}
 	if p.wheel.Pending() != p.heap.Pending() {
 		return fmt.Errorf("Pending diverged: wheel %d, heap %d", p.wheel.Pending(), p.heap.Pending())
@@ -60,24 +60,33 @@ func (p *schedPair) check() error {
 	return nil
 }
 
+// schedule arms one logged event at absolute time at on both engines.
+func (p *schedPair) schedule(at units.Time) {
+	id := len(p.wt)
+	we, he := p.wheel, p.heap
+	p.wt = append(p.wt, we.Schedule(at, func() { p.wlog = append(p.wlog, fmt.Sprintf("t=%v id=%d", we.Now(), id)) }))
+	p.ht = append(p.ht, he.Schedule(at, func() { p.hlog = append(p.hlog, fmt.Sprintf("t=%v id=%d", he.Now(), id)) }))
+}
+
+// slotEdge returns the first picosecond of the level-0 wheel slot n slots
+// after the one holding now.
+func slotEdge(now units.Time, n int64) units.Time {
+	return units.Time((int64(now)>>wheelSlotBits + n) << wheelSlotBits)
+}
+
 // apply executes one op, encoded as an opcode plus argument, on both
 // engines identically. Delays mix near ticks with multi-level spans so
-// events cross wheel level boundaries and collide on identical instants.
+// events cross wheel level boundaries and collide on identical instants;
+// ops 6-9 aim at the edges of the wheel's coarse level-0 slots, where a
+// drained slot's events arrive out of time order.
 func (p *schedPair) apply(op uint8, arg uint32) error {
 	a := int64(arg)
-	switch op % 6 {
-	case 0: // schedule a closure event
-		d := units.Time(a % 5000)
-		id := len(p.wt)
-		we, he := p.wheel, p.heap
-		p.wt = append(p.wt, we.After(d, func() { p.wlog = append(p.wlog, fmt.Sprintf("t=%v id=%d", we.Now(), id)) }))
-		p.ht = append(p.ht, he.After(d, func() { p.hlog = append(p.hlog, fmt.Sprintf("t=%v id=%d", he.Now(), id)) }))
+	now := p.wheel.Now()
+	switch op % 10 {
+	case 0: // schedule a near event (usually inside the current slot)
+		p.schedule(now + units.Time(a%5000))
 	case 1: // schedule a far-future event (upper wheel levels)
-		d := units.Time(a%7)*137*units.Millisecond + units.Time(a%911)
-		id := len(p.wt)
-		we, he := p.wheel, p.heap
-		p.wt = append(p.wt, we.After(d, func() { p.wlog = append(p.wlog, fmt.Sprintf("t=%v id=%d", we.Now(), id)) }))
-		p.ht = append(p.ht, he.After(d, func() { p.hlog = append(p.hlog, fmt.Sprintf("t=%v id=%d", he.Now(), id)) }))
+		p.schedule(now + units.Time(a%7)*137*units.Millisecond + units.Time(a%911))
 	case 2: // stop a random timer
 		if len(p.wt) == 0 {
 			return nil
@@ -92,22 +101,58 @@ func (p *schedPair) apply(op uint8, arg uint32) error {
 			return nil
 		}
 		i := int(a) % len(p.wt)
-		at := p.wheel.Now() + units.Time(a%3)*997*units.Microsecond + units.Time(a%53)
-		wr, hr := p.wt[i].Reschedule(at), p.ht[i].Reschedule(at)
-		if wr != hr {
-			return fmt.Errorf("Reschedule(%d) diverged: wheel %v, heap %v", i, wr, hr)
+		at := now + units.Time(a%3)*997*units.Microsecond + units.Time(a%53)
+		if err := p.reschedule(i, at); err != nil {
+			return err
 		}
 	case 4: // bounded advance (deadline peeks exercise the bounded cascade)
 		d := units.Time(a % 2000)
-		p.wheel.RunUntil(p.wheel.Now() + d)
-		p.heap.RunUntil(p.heap.Now() + d)
+		p.wheel.RunUntil(now + d)
+		p.heap.RunUntil(now + d)
 	case 5: // single step
 		ws, hs := p.wheel.Step(), p.heap.Step()
 		if ws != hs {
 			return fmt.Errorf("Step diverged: wheel %v, heap %v", ws, hs)
 		}
+	case 6: // straddle a slot edge: (n·slot ± 1) ps, 1 to 80 slots out
+		n := 1 + a%80
+		if a&64 != 0 {
+			n = 1 + a%4
+		}
+		p.schedule(slotEdge(now, n) + units.Time((a>>8)%3-1))
+	case 7: // a same-slot burst in descending time order, with equal-at pairs
+		base := now + units.Time(a%3000)
+		if a&1 != 0 { // a future slot rather than the one holding now
+			base = slotEdge(now, 1+(a>>1)%3) + units.Time(a%3000)
+		}
+		step := units.Time(1 + (a>>4)%97)
+		for k := 5; k >= 0; k-- {
+			p.schedule(base + units.Time(k/2)*step)
+		}
+	case 8: // RunUntil to a limit in the middle of a slot
+		limit := slotEdge(now, a%3) + 1<<(wheelSlotBits-1) + units.Time(a%1000)
+		p.wheel.RunUntil(limit)
+		p.heap.RunUntil(limit)
+	case 9: // reschedule a random timer across a slot edge
+		if len(p.wt) == 0 {
+			return nil
+		}
+		i := int(a) % len(p.wt)
+		at := slotEdge(now, 1+(a>>8)%2) + units.Time((a>>4)%3-1)
+		if err := p.reschedule(i, at); err != nil {
+			return err
+		}
 	}
 	return p.check()
+}
+
+// reschedule moves timer i to at on both engines and compares the results.
+func (p *schedPair) reschedule(i int, at units.Time) error {
+	wr, hr := p.wt[i].Reschedule(at), p.ht[i].Reschedule(at)
+	if wr != hr {
+		return fmt.Errorf("Reschedule(%d) diverged: wheel %v, heap %v", i, wr, hr)
+	}
+	return nil
 }
 
 // drain runs both engines to quiescence and does a final comparison.
