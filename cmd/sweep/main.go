@@ -66,10 +66,9 @@ var (
 	pdesOut  = flag.String("pdes-bench", "", "measure the parallel runner's wall-clock scaling (shards 1/2/4) over the benchmark topology and write BENCH_pdes.json-shaped output to this path")
 	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	sched    = flag.String("sched", sim.DefaultScheduler().String(), "event scheduler: wheel (O(1) timing wheel) or heap (reference binary heap); results are byte-identical either way")
 	metricsF = flag.Bool("metrics", false, "aggregate fleet-level metrics (FCT percentiles, Jain's fairness, per-class goodput) across every run and print the report")
 	progress = flag.Bool("progress", false, "print a live progress line (points completed / ETA) to stderr while sweeps run")
-	baseline = flag.String("baseline", "", "comma-separated BENCH_*.json baselines to compare this run against (sweep files check simulated Gb/s; kernel/sched files re-measure allocs/op in-process)")
+	baseline = flag.String("baseline", "", "comma-separated BENCH_*.json baselines to compare this run against (sweep files check simulated Gb/s; kernel files re-measure allocs/op in-process; pdes files check the sharded speed-up floor)")
 	gateF    = flag.Bool("gate", false, "exit non-zero when a -baseline comparison finds a regression past -gate-threshold")
 	gateThr  = flag.Float64("gate-threshold", 0.02, "relative throughput loss that counts as a sweep regression (0.02 = 2%)")
 	ckptPath = flag.String("checkpoint", "", "journal every completed sweep point into this JSONL file; a killed campaign restarts from the journal with -resume")
@@ -95,11 +94,6 @@ func workers() int {
 func main() {
 	log.SetFlags(0)
 	flag.Parse()
-	kind, err := sim.ParseScheduler(*sched)
-	if err != nil {
-		log.Fatalf("sweep: %v", err)
-	}
-	sim.SetDefaultScheduler(kind)
 	stopProfiles := prof.Start(*cpuProf, *memProf)
 	defer stopProfiles()
 	if *verify {
@@ -238,8 +232,6 @@ func runGate() {
 			rep = bench.CompareSweeps(f.Sweeps, currentSweepFile(), *gateThr)
 		case bench.KindKernel:
 			rep = bench.CompareKernel(f.Kernel)
-		case bench.KindSched:
-			rep = bench.CompareSched(f.Sched)
 		case bench.KindPDES:
 			rep = bench.ComparePDES(f.PDES)
 		}
@@ -370,7 +362,7 @@ func replayBundle(path string) {
 	if err != nil {
 		log.Fatalf("replay: %v", err)
 	}
-	fmt.Printf("replaying %s bundle (seed %d, scheduler %s)\n", b.Kind, b.Seed, b.Scheduler)
+	fmt.Printf("replaying %s bundle (seed %d)\n", b.Kind, b.Seed)
 	fmt.Printf("recorded panic: %s\n", b.Panic)
 	r := b.Replay(nil)
 	switch {

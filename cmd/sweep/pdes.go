@@ -11,6 +11,7 @@ import (
 	"tengig/internal/bench"
 	"tengig/internal/core"
 	"tengig/internal/pdes"
+	"tengig/internal/sim"
 	"tengig/internal/telemetry"
 	"tengig/internal/topo"
 )
@@ -54,8 +55,8 @@ func runTopologySharded(path string, shards int) {
 
 	fmt.Printf("== topology %s: %d hosts, %d switches, %d links, %d flows ==\n",
 		spec.Name, len(spec.Hosts), len(spec.Switches), len(spec.Links), len(spec.Flows))
-	fmt.Printf("parallel: %d shards, %d cut links, lookahead %v, %v replicas, %v scheduler\n",
-		res.Plan.Shards, len(res.Plan.CutLinks), res.Plan.Lookahead, r.Replica(), r.Scheduler())
+	fmt.Printf("parallel: %d shards, %d cut links, lookahead %v, %v replicas\n",
+		res.Plan.Shards, len(res.Plan.CutLinks), res.Plan.Lookahead, r.Replica())
 	if fb := r.SparseFallback(); fb != nil {
 		fmt.Printf("parallel: sparse replicas unavailable, using full: %v\n", fb)
 	}
@@ -148,7 +149,7 @@ func writePDESBench(path string) {
 	}
 	pf := &bench.PDESFile{
 		Meta: &bench.Meta{
-			Scheduler: probe.Scheduler().String(),
+			Scheduler: sim.DefaultScheduler().String(),
 			Replica:   probe.Replica().String(),
 			Seed:      *seed,
 			Topology:  topoPath,

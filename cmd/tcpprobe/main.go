@@ -26,7 +26,6 @@ import (
 
 	"tengig/internal/core"
 	"tengig/internal/prof"
-	"tengig/internal/sim"
 	"tengig/internal/telemetry"
 	"tengig/internal/units"
 )
@@ -47,14 +46,8 @@ func main() {
 		events   = flag.Int("events", 8, "recent events to print per connection")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-		sched    = flag.String("sched", sim.DefaultScheduler().String(), "event scheduler: wheel (O(1) timing wheel) or heap (reference binary heap); results are byte-identical either way")
 	)
 	flag.Parse()
-	kind, err := sim.ParseScheduler(*sched)
-	if err != nil {
-		log.Fatalf("tcpprobe: %v", err)
-	}
-	sim.SetDefaultScheduler(kind)
 	hostProfile, err := core.ParseProfile(*profile)
 	if err != nil {
 		log.Fatalf("tcpprobe: %v", err)

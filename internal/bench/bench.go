@@ -1,6 +1,6 @@
 // Package bench reads the repo's committed BENCH_*.json baselines and
 // compares a current run against them, turning the bench files from
-// documentation into an enforced contract. Four shapes exist at the repo
+// documentation into an enforced contract. Three shapes exist at the repo
 // root:
 //
 //   - BENCH_sweep.json:  per-figure sweep results (simulated Gb/s per
@@ -11,8 +11,6 @@
 //     before/after measurements. Wall-clock ns/op is machine noise; the
 //     gate enforces allocs/op, which is deterministic, by re-measuring the
 //     same workloads in-process (see probe.go).
-//   - BENCH_sched.json:  the same workloads keyed by scheduler kind
-//     (heap vs wheel), gated the same way.
 //   - BENCH_pdes.json:   wall-clock scaling of the sharded parallel-DES
 //     runner. The gate re-measures in-process and enforces the speedup
 //     floor at the largest shard count — but only on hosts with enough
@@ -25,8 +23,8 @@ import (
 	"os"
 )
 
-// Measurement is one benchmark's recorded numbers (the BENCH_kernel.json /
-// BENCH_sched.json leaf object).
+// Measurement is one benchmark's recorded numbers (the BENCH_kernel.json
+// leaf object).
 type Measurement struct {
 	NsPerOp     float64 `json:"ns_op"`
 	AllocsPerOp int64   `json:"allocs_op"`
@@ -45,10 +43,6 @@ type KernelFile struct {
 	Description string                 `json:"description"`
 	Benchmarks  map[string]KernelEntry `json:"benchmarks"`
 }
-
-// SchedFile is BENCH_sched.json: benchmark measurements keyed by scheduler
-// kind ("heap", "wheel"), then benchmark name.
-type SchedFile map[string]map[string]Measurement
 
 // SweepPoint is one payload measurement in a recorded sweep.
 type SweepPoint struct {
@@ -103,18 +97,16 @@ type Kind string
 const (
 	KindSweep  Kind = "sweep"
 	KindKernel Kind = "kernel"
-	KindSched  Kind = "sched"
 	KindPDES   Kind = "pdes"
 )
 
-// File is one loaded baseline: exactly one of Sweeps/Kernel/Sched/PDES is
-// set, per Kind.
+// File is one loaded baseline: exactly one of Sweeps/Kernel/PDES is set,
+// per Kind.
 type File struct {
 	Path   string
 	Kind   Kind
 	Sweeps *SweepFile
 	Kernel *KernelFile
-	Sched  SchedFile
 	PDES   *PDESFile
 }
 
@@ -157,12 +149,6 @@ func Parse(data []byte) (*File, error) {
 			return nil, fmt.Errorf("bench: pdes file: %w", err)
 		}
 		return &File{Kind: KindPDES, PDES: &pf}, nil
-	case top["heap"] != nil || top["wheel"] != nil:
-		var sc SchedFile
-		if err := json.Unmarshal(data, &sc); err != nil {
-			return nil, fmt.Errorf("bench: sched file: %w", err)
-		}
-		return &File{Kind: KindSched, Sched: sc}, nil
 	}
-	return nil, fmt.Errorf("bench: unrecognized baseline shape (no sweeps/benchmarks/pdes/heap keys)")
+	return nil, fmt.Errorf("bench: unrecognized baseline shape (no sweeps/benchmarks/pdes keys)")
 }

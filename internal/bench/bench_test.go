@@ -12,7 +12,6 @@ func TestParseDetectsShapes(t *testing.T) {
 	}{
 		{`{"meta":{"scheduler":"wheel"},"sweeps":[{"figure":"fig3","label":"x","points":[]}]}`, KindSweep},
 		{`{"description":"d","benchmarks":{"TimerChurn":{"before":{"ns_op":1},"after":{"allocs_op":0}}}}`, KindKernel},
-		{`{"heap":{"TimerChurn":{"allocs_op":0}},"wheel":{"TimerChurn":{"allocs_op":0}}}`, KindSched},
 		{`{"meta":{"topology":"t.json","cpus":4},"pdes":[{"shards":1,"wall_ms":10,"speedup":1}]}`, KindPDES},
 	}
 	for _, c := range cases {
@@ -24,8 +23,16 @@ func TestParseDetectsShapes(t *testing.T) {
 			t.Errorf("detected %s, want %s", f.Kind, c.kind)
 		}
 	}
-	if _, err := Parse([]byte(`{"something":"else"}`)); err == nil {
-		t.Error("unrecognized shape should fail")
+	// The last row is a BENCH_sched.json from before the heap scheduler was
+	// removed: a stale -baseline pointing at one must fail loudly.
+	for _, data := range []string{
+		`{"something":"else"}`,
+		`{"heap":{"TimerChurn":{"allocs_op":0}},"wheel":{"TimerChurn":{"allocs_op":0}}}`,
+	} {
+		_, err := Parse([]byte(data))
+		if err == nil || !strings.Contains(err.Error(), "unrecognized baseline shape") {
+			t.Errorf("%s: got %v, want an unrecognized-shape error", data, err)
+		}
 	}
 	if _, err := Parse([]byte(`not json`)); err == nil {
 		t.Error("malformed input should fail")
@@ -35,7 +42,6 @@ func TestParseDetectsShapes(t *testing.T) {
 func TestLoadCommittedBaselines(t *testing.T) {
 	for path, kind := range map[string]Kind{
 		"../../BENCH_kernel.json": KindKernel,
-		"../../BENCH_sched.json":  KindSched,
 		"../../BENCH_pdes.json":   KindPDES,
 	} {
 		f, err := Load(path)
@@ -104,7 +110,7 @@ func TestCompareSweepsSkipsUnrunAndMismatched(t *testing.T) {
 	// Current run only executed fig3, and on a disjoint payload grid.
 	cur := &SweepFile{Sweeps: []Sweep{{
 		Figure: "fig3", Label: "stock-mtu9000",
-		Points: []SweepPoint{{Payload: 4096, Gbps: 0.001}},
+		Points:   []SweepPoint{{Payload: 4096, Gbps: 0.001}},
 		PeakGbps: 0.001,
 	}}}
 	rep := CompareSweeps(base, cur, 0.02)

@@ -10,7 +10,7 @@ import (
 // toward Report.Compared.
 type Finding struct {
 	// Name identifies the measurement, e.g. "fig3/stock-mtu1500 payload 8948"
-	// or "wheel/TimerChurn".
+	// or "TimerChurn".
 	Name string
 	// Metric is what regressed: "gbps", "peak_gbps", or "allocs_op".
 	Metric   string
@@ -91,8 +91,8 @@ func CompareSweeps(baseline, current *SweepFile, threshold float64) *Report {
 		rep.Compared++
 		if loss := relDelta(base.PeakGbps, c.PeakGbps); loss < -threshold {
 			rep.Regressions = append(rep.Regressions, Finding{
-				Name:   name,
-				Metric: "peak_gbps",
+				Name:     name,
+				Metric:   "peak_gbps",
 				Baseline: base.PeakGbps, Current: c.PeakGbps,
 				DeltaPct: loss * 100,
 			})
@@ -108,40 +108,22 @@ func CompareSweeps(baseline, current *SweepFile, threshold float64) *Report {
 func CompareKernel(kf *KernelFile) *Report {
 	rep := &Report{}
 	for _, name := range sortedKeys(kf.Benchmarks) {
-		checkAllocs(rep, name, name, kf.Benchmarks[name].After.AllocsPerOp)
-	}
-	return rep
-}
-
-// CompareSched re-measures the baseline benchmarks under each recorded
-// scheduler kind and gates allocations the same way as CompareKernel.
-func CompareSched(sf SchedFile) *Report {
-	rep := &Report{}
-	for _, kind := range sortedKeys(sf) {
-		restore, err := setScheduler(kind)
-		if err != nil {
-			rep.Skipped = append(rep.Skipped, kind+": "+err.Error())
-			continue
-		}
-		for _, name := range sortedKeys(sf[kind]) {
-			checkAllocs(rep, kind+"/"+name, name, sf[kind][name].AllocsPerOp)
-		}
-		restore()
+		checkAllocs(rep, name, kf.Benchmarks[name].After.AllocsPerOp)
 	}
 	return rep
 }
 
 // checkAllocs probes one workload and folds the result into the report.
-func checkAllocs(rep *Report, display, workload string, baseline int64) {
-	got, err := MeasureAllocs(workload)
+func checkAllocs(rep *Report, name string, baseline int64) {
+	got, err := MeasureAllocs(name)
 	if err != nil {
-		rep.Skipped = append(rep.Skipped, display+": "+err.Error())
+		rep.Skipped = append(rep.Skipped, name+": "+err.Error())
 		return
 	}
 	rep.Compared++
 	if got > baseline {
 		rep.Regressions = append(rep.Regressions, Finding{
-			Name:     display,
+			Name:     name,
 			Metric:   "allocs_op",
 			Baseline: float64(baseline), Current: float64(got),
 			DeltaPct: relDelta(float64(baseline), float64(got)) * 100,

@@ -1,29 +1,20 @@
 package bench
 
-import (
-	"testing"
-
-	"tengig/internal/sim"
-)
+import "testing"
 
 // The probes must reproduce the committed claim: every kernel hot-path
-// workload runs allocation-free at steady state, under both schedulers.
-// This is the same contract the gate enforces against BENCH_kernel.json.
+// workload runs allocation-free at steady state. This is the same contract
+// the gate enforces against BENCH_kernel.json.
 func TestProbesMatchZeroAllocContract(t *testing.T) {
-	restore := sim.DefaultScheduler()
-	defer sim.SetDefaultScheduler(restore)
-	for _, kind := range []sim.SchedulerKind{sim.SchedHeap, sim.SchedWheel} {
-		sim.SetDefaultScheduler(kind)
-		for _, name := range []string{
-			"TimerChurn", "TimerReschedule", "SingleFlowSteadyState", "MultiFlow16PE2650",
-		} {
-			got, err := MeasureAllocs(name)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", kind, name, err)
-			}
-			if got != 0 {
-				t.Errorf("%s/%s: %d allocs/op, want 0", kind, name, got)
-			}
+	for _, name := range []string{
+		"TimerChurn", "TimerReschedule", "SingleFlowSteadyState", "MultiFlow16PE2650",
+	} {
+		got, err := MeasureAllocs(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != 0 {
+			t.Errorf("%s: %d allocs/op, want 0", name, got)
 		}
 	}
 }
@@ -34,8 +25,8 @@ func TestMeasureAllocsUnknownName(t *testing.T) {
 	}
 }
 
-// CompareKernel/CompareSched against the committed files is the gate's real
-// code path end to end: load, probe, compare.
+// CompareKernel against the committed file is the gate's real code path
+// end to end: load, probe, compare.
 func TestGateAgainstCommittedFiles(t *testing.T) {
 	kf, err := Load("../../BENCH_kernel.json")
 	if err != nil {
@@ -47,17 +38,6 @@ func TestGateAgainstCommittedFiles(t *testing.T) {
 	}
 	if rep.Compared == 0 {
 		t.Error("kernel gate compared nothing")
-	}
-	sf, err := Load("../../BENCH_sched.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep = CompareSched(sf.Sched)
-	if rep.Failed() {
-		t.Errorf("sched gate failed: %v", rep.Regressions)
-	}
-	if rep.Compared == 0 {
-		t.Error("sched gate compared nothing")
 	}
 }
 

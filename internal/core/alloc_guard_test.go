@@ -11,12 +11,12 @@ import (
 // and slice capacities are warm, advancing the simulation must allocate
 // nothing — events, packets, and segments all recycle through free lists.
 // A regression here silently reintroduces GC pressure on every hot path.
-// The guards run under both scheduler implementations: the wheel's cascade
-// and ready-list plumbing must stay as allocation-free as the heap's sift.
+// Each guard runs as a subtest named for the event queue, as run records
+// stamp it.
 
-func steadyStateAllocs(t *testing.T, kind sim.SchedulerKind, tun Tuning) float64 {
+func steadyStateAllocs(t *testing.T, tun Tuning) float64 {
 	t.Helper()
-	p, err := BackToBackOn(sim.NewEngineWith(1, kind), PE2650, tun)
+	p, err := BackToBackOn(sim.NewEngine(1), PE2650, tun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,24 +31,17 @@ func steadyStateAllocs(t *testing.T, kind sim.SchedulerKind, tun Tuning) float64
 	})
 }
 
-func eachSched(t *testing.T, f func(t *testing.T, kind sim.SchedulerKind)) {
-	for _, kind := range []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) { f(t, kind) })
-	}
-}
-
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	eachSched(t, func(t *testing.T, kind sim.SchedulerKind) {
-		if allocs := steadyStateAllocs(t, kind, Optimized(9000)); allocs != 0 {
+	t.Run(sim.DefaultScheduler().String(), func(t *testing.T) {
+		if allocs := steadyStateAllocs(t, Optimized(9000)); allocs != 0 {
 			t.Errorf("steady-state slice allocated %.1f times (want 0)", allocs)
 		}
 	})
 }
 
 func TestSteadyStateZeroAllocTSO(t *testing.T) {
-	eachSched(t, func(t *testing.T, kind sim.SchedulerKind) {
-		if allocs := steadyStateAllocs(t, kind, Optimized(9000).WithTSO()); allocs != 0 {
+	t.Run(sim.DefaultScheduler().String(), func(t *testing.T) {
+		if allocs := steadyStateAllocs(t, Optimized(9000).WithTSO()); allocs != 0 {
 			t.Errorf("TSO steady-state slice allocated %.1f times (want 0)", allocs)
 		}
 	})

@@ -137,44 +137,3 @@ func TestWriteKernelBenchJSON(t *testing.T) {
 	}
 	t.Logf("wrote %s", path)
 }
-
-// TestWriteSchedBenchJSON runs the kernel benchmarks under each scheduler
-// implementation and writes the results keyed by kind to the path in
-// BENCH_SCHED_JSON (skipped when unset). The committed BENCH_sched.json is
-// the wheel-vs-heap comparison for this tree: "heap" is the before (the
-// O(log n) reference scheduler), "wheel" the after.
-func TestWriteSchedBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_SCHED_JSON")
-	if path == "" {
-		t.Skip("set BENCH_SCHED_JSON=<path> to record scheduler benchmarks")
-	}
-	restore := sim.DefaultScheduler()
-	defer sim.SetDefaultScheduler(restore)
-	benches := map[string]func(*testing.B){
-		"TimerChurn":            BenchmarkTimerChurn,
-		"SingleFlowSteadyState": BenchmarkSingleFlowSteadyState,
-		"MultiFlow16PE2650":     BenchmarkMultiFlow16PE2650,
-	}
-	out := make(map[string]map[string]kernelBenchResult)
-	for _, kind := range []sim.SchedulerKind{sim.SchedHeap, sim.SchedWheel} {
-		sim.SetDefaultScheduler(kind)
-		res := make(map[string]kernelBenchResult)
-		for name, fn := range benches {
-			r := testing.Benchmark(fn)
-			res[name] = kernelBenchResult{
-				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-			}
-		}
-		out[kind.String()] = res
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
-}

@@ -12,9 +12,9 @@ import (
 )
 
 // CrashBundle is the replayable record of one contained crash: everything
-// needed to rebuild the failing simulation deterministically — seed, full
-// config, scheduler — plus the panic it produced. The runner writes one JSON
-// file per crashed point; `sweep -replay file.json` re-executes it.
+// needed to rebuild the failing simulation deterministically — seed and
+// full config — plus the panic it produced. The runner writes one JSON file
+// per crashed point; `sweep -replay file.json` re-executes it.
 type CrashBundle struct {
 	Kind      string     `json:"kind"` // "sweep-point" or "chaos-campaign"
 	Seed      int64      `json:"seed"`
@@ -24,7 +24,10 @@ type CrashBundle struct {
 	Count     int        `json:"count,omitempty"`
 	ViaSwitch bool       `json:"via_switch,omitempty"`
 	Timeout   units.Time `json:"timeout,omitempty"`
-	Scheduler string     `json:"scheduler"`
+	// Scheduler stamps the event queue the run used. Every engine runs the
+	// timing wheel, so Replay ignores it; bundles still carry it so their
+	// schema stays the same.
+	Scheduler string `json:"scheduler"`
 	// Campaign carries the full spec for chaos-campaign bundles.
 	Campaign *CampaignSpec `json:"campaign,omitempty"`
 	// Panic is the fmt.Sprint of the panic value; Stack the goroutine stack
@@ -72,8 +75,8 @@ type ReplayResult struct {
 }
 
 // Replay re-executes the failing run the bundle records, on a fresh engine
-// with the recorded scheduler and seed, and reports whether the recorded
-// panic reproduces. hook, when non-nil, is invoked with the payload before
+// with the recorded seed, and reports whether the recorded panic
+// reproduces. hook, when non-nil, is invoked with the payload before
 // the run exactly as SweepConfig.PointHook would be — the port through which
 // deliberate test crashes are re-armed on replay.
 func (b *CrashBundle) Replay(hook func(payload int)) ReplayResult {
@@ -93,11 +96,7 @@ func (b *CrashBundle) Replay(hook func(payload int)) ReplayResult {
 			cr := RunCampaign(*b.Campaign)
 			return cr.Err
 		case "sweep-point":
-			kind, kerr := sim.ParseScheduler(b.Scheduler)
-			if kerr != nil {
-				kind = sim.DefaultScheduler()
-			}
-			eng := sim.NewEngineWith(b.Seed, kind)
+			eng := sim.NewEngine(b.Seed)
 			if hook != nil {
 				hook(b.Payload)
 			}

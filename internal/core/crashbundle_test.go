@@ -157,10 +157,12 @@ func TestCampaignCrashBundleReplay(t *testing.T) {
 	}
 }
 
-// TestSweepPointReplayPerScheduler: a sweep-point bundle records the event
-// scheduler the crashed run used, and Replay must rebuild under exactly
-// that scheduler — wheel as well as heap — reproduce the injected panic
-// with the hook re-armed, and run clean without it.
+// TestSweepPointReplayPerScheduler: a sweep-point bundle stamps the event
+// queue its run used, and Replay rebuilds on the one engine whatever the
+// stamp says. The "heap" case is a bundle written while the heap scheduler
+// still shipped: it must keep its stamp through the disk round trip,
+// reproduce the injected panic with the hook re-armed, and run clean
+// without it.
 func TestSweepPointReplayPerScheduler(t *testing.T) {
 	tun := Optimized(9000)
 	for _, sched := range []string{"wheel", "heap"} {

@@ -20,13 +20,17 @@
 //     handshakes become exact clock advances (sim.AdvanceTo) of their
 //     reference durations, recorded by one throwaway full compile in New;
 //     any timing deviation is detected at compile, not silently diverged.
-//     Memory is O(shard + cut), and because the replica does not span
-//     foreign far-future timers, its engine runs the timing wheel (bounded
-//     per-window peeks stay cheap — see sim.NextEventAtWithin).
+//     Memory is O(shard + cut).
 //   - Full, the fallback (Runner.SparseFallback says why) and the
-//     equivalence reference: the entire spec, everywhere, on the heap
-//     scheduler. Construction, addressing, and TCP handshakes are trivially
-//     bit-identical across shards, at O(topology) memory per shard.
+//     equivalence reference: the entire spec, everywhere. Construction,
+//     addressing, and TCP handshakes are trivially bit-identical across
+//     shards, at O(topology) memory per shard.
+//
+// Every shard engine runs the timing wheel. The coordinator polls shards
+// with horizon-bounded peeks (sim.NextEventAtWithin), which never cascade
+// timers past the horizon, so a full replica's wheel — spanning the whole
+// simulated time with only a shard's slice of the events — stays as cheap
+// to poll per window as a sparse one's.
 //
 // Packets reach foreign nodes through boundary ports: on each shard, every
 // cut-link direction whose receiver is foreign gets a phys handoff hook that
@@ -239,7 +243,7 @@ func New(spec *topo.Spec, opts Options) (*Runner, error) {
 // so the retained per-shard cost is the subsets alone.
 func (r *Runner) prepareSparse() error {
 	spec := r.spec
-	eng := sim.NewEngineWith(r.opts.Seed, sim.SchedWheel)
+	eng := sim.NewEngine(r.opts.Seed)
 	connT := make([]units.Time, len(spec.Flows))
 	pendAfter := -1
 	obs := &topo.CompileObserver{AfterConnect: func(i int) {
@@ -299,25 +303,12 @@ func (r *Runner) Replica() Replica { return r.replica }
 // was used or never attempted).
 func (r *Runner) SparseFallback() error { return r.sparseFallback }
 
-// Scheduler reports the per-shard event scheduler the run will use: the
-// timing wheel for sparse replicas, the heap for full ones (a full replica's
-// wheel spans the whole simulated time while holding only a shard's slice of
-// the events, so per-window peeks would pay full-span slot scans; the heap
-// peeks in O(1)).
-func (r *Runner) Scheduler() sim.SchedulerKind {
-	if r.replica == ReplicaSparse {
-		return sim.SchedWheel
-	}
-	return sim.SchedHeap
-}
-
 // Run executes the flows to completion and merges the shards' outputs.
 func (r *Runner) Run() (*Result, error) {
 	if r.engines == nil {
-		kind := r.Scheduler()
 		r.engines = make([]*sim.Engine, r.plan.Shards)
 		for i := range r.engines {
-			r.engines[i] = sim.NewEngineWith(r.opts.Seed, kind)
+			r.engines[i] = sim.NewEngine(r.opts.Seed)
 		}
 	} else {
 		for _, eng := range r.engines {

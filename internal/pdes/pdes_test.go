@@ -157,7 +157,7 @@ func TestSparseCompileFootprint(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		eng := sim.NewEngineWith(42, sim.SchedWheel)
+		eng := sim.NewEngine(42)
 		if err := compile(eng); err != nil {
 			t.Fatalf("compile: %v", err)
 		}

@@ -118,9 +118,9 @@ func TestStaleTimerCannotTouchRecycledEvent(t *testing.T) {
 }
 
 // TestLazyCancelAccounting checks the live-event accounting that replaces
-// eager heap removal: Pending counts only live events, HighWater tracks the
-// live population, and RunUntil's deadline peek skips dead events at the
-// heap head instead of running past the deadline.
+// eager removal: Pending counts only live events, HighWater tracks the live
+// population, and RunUntil's deadline peek skips dead events at the front
+// of the queue instead of running past the deadline.
 func TestLazyCancelAccounting(t *testing.T) {
 	e := NewEngine(1)
 	a := e.Schedule(10, func() {})

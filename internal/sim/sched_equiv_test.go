@@ -9,12 +9,13 @@ import (
 	"tengig/internal/units"
 )
 
-// Wheel-vs-heap equivalence: the two schedulers must be observationally
-// identical — same pop order (time, seq), same Pending accounting, same
-// Timer semantics — over arbitrary interleavings of Schedule, After, Stop,
-// Reschedule, Step, Run, and RunUntil. A lockstep driver applies one op
-// stream to two engines that differ only in SchedulerKind and diffs every
-// observable after every op.
+// Wheel-vs-heap equivalence: the timing wheel must be observationally
+// identical to the test-only reference heap (sched_ref_test.go) — same pop
+// order (time, seq), same Pending accounting, same Timer semantics — over
+// arbitrary interleavings of Schedule, After, Stop, Reschedule, Step, Run,
+// and RunUntil. A lockstep driver applies one op stream to two engines that
+// differ only in their event queue and diffs every observable after every
+// op.
 
 // schedPair drives a wheel engine and a heap engine in lockstep.
 type schedPair struct {
@@ -25,8 +26,8 @@ type schedPair struct {
 
 func newSchedPair(seed int64) *schedPair {
 	return &schedPair{
-		wheel: NewEngineWith(seed, SchedWheel),
-		heap:  NewEngineWith(seed, SchedHeap),
+		wheel: NewEngine(seed),
+		heap:  newHeapEngine(seed),
 	}
 }
 

@@ -9,10 +9,19 @@ import "tengig/internal/units"
 // total order — seq is unique — the pop sequence is simply sorted order, so
 // the heap's internal layout cannot affect simulation results.
 //
-// It remains as the O(log n) reference implementation behind -sched=heap;
-// the timing wheel (wheel.go) is the default.
+// It is the test-only reference the lockstep suite (sched_equiv_test.go)
+// drives against the timing wheel: an independently ordered structure whose
+// pop order must match the wheel's exactly. Engines built by NewEngine run
+// the wheel; newHeapEngine swaps this in through the scheduler seam.
 type heapSched struct {
 	pq []*event
+}
+
+// newHeapEngine returns NewEngine(seed) running on the reference heap.
+func newHeapEngine(seed int64) *Engine {
+	e := NewEngine(seed)
+	e.sched = &heapSched{}
+	return e
 }
 
 func (h *heapSched) len() int { return len(h.pq) }

@@ -11,8 +11,8 @@ import (
 // buckets per level, each level 64x coarser than the one below. Scheduling,
 // cancelling, and rescheduling are O(1); an event cascades down at most
 // wheelLevels-1 times before it fires, so the total work per event is O(1)
-// amortized — against the heap's O(log n) sift per operation, with n in the
-// hundreds for a busy multi-flow simulation.
+// amortized — against a binary heap's O(log n) sift per operation, with n
+// in the hundreds for a busy multi-flow simulation.
 //
 // # Slot width
 //
@@ -47,14 +47,14 @@ import (
 //
 // # Determinism
 //
-// Pops must come out in ascending (at, ct, seq) order, byte-identical to
-// the heap. The split at cur delivers that: every ready event sits in a
-// slot <= cur and every wheel event in a slot > cur, so the whole ready
-// list precedes the whole wheel; levels partition the wheel so lower levels
-// strictly precede higher ones; and the ready list is kept exactly sorted
-// by (at, ct, seq) — each insert (slot drain or out-of-band schedule) walks
-// back from the tail to its position. The golden digests and the
-// wheel-vs-heap property tests pin this.
+// Pops must come out in ascending (at, ct, seq) order (evLess). The split
+// at cur delivers that: every ready event sits in a slot <= cur and every
+// wheel event in a slot > cur, so the whole ready list precedes the whole
+// wheel; levels partition the wheel so lower levels strictly precede higher
+// ones; and the ready list is kept exactly sorted by (at, ct, seq) — each
+// insert (slot drain or out-of-band schedule) walks back from the tail to
+// its position. The golden digests and the lockstep suite against the
+// test-only reference heap pin this.
 //
 // # Bounded advance and lazy cancellation
 //
@@ -81,9 +81,9 @@ const (
 
 // Values of event.idx while an event is held by the wheel: a bucket index
 // (level*wheelSlots + bucket) when on the wheel proper, idxReady on the
-// sorted ready list, idxNone outside any structure. (The heap uses the same
-// field as its array index; an engine owns exactly one scheduler, so the
-// uses never mix.)
+// sorted ready list, idxNone outside any structure. (The test-only
+// reference heap uses the same field as its array index; an engine owns
+// exactly one scheduler, so the uses never mix.)
 const (
 	idxNone  = -1
 	idxReady = -2

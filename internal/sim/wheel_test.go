@@ -25,7 +25,7 @@ func TestWheelRefilesPerPush(t *testing.T) {
 		// former 1 ps slots 4.436.
 		bound = 1.20
 	)
-	e := NewEngineWith(1, SchedWheel)
+	e := NewEngine(1)
 	w := e.sched.(*wheelSched)
 	rng := e.Rand()
 	delay := func() units.Time {
