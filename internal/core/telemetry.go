@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,16 +51,30 @@ func SanitizeName(s string) string {
 
 // WriteBundle writes a bundle's machine-readable exports into dir:
 // <name>.jsonl (full record) and <name>.csv (instrument series). The
-// directory is created if needed.
+// directory is created if needed. Each export streams straight to its file;
+// neither is held in memory whole.
 func WriteBundle(dir string, b *telemetry.Bundle) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	stem := filepath.Join(dir, SanitizeName(b.Name))
-	if err := os.WriteFile(stem+".jsonl", b.ExportJSONL(), 0o644); err != nil {
+	if err := writeFile(stem+".jsonl", b.WriteJSONL); err != nil {
 		return err
 	}
-	return os.WriteFile(stem+".csv", b.ExportCSV(), 0o644)
+	return writeFile(stem+".csv", b.WriteCSV)
+}
+
+// writeFile creates (or truncates) name and streams write into it.
+func writeFile(name string, write func(io.Writer) error) error {
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ProbeConfig describes one tcpprobe run: a single instrumented transfer,

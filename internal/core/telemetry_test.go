@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"tengig/internal/runner"
@@ -194,6 +196,37 @@ func TestParallelInstrumentationIsolation(t *testing.T) {
 		}
 		if p.paths == 0 {
 			t.Errorf("run %d traced no packet paths", i)
+		}
+	}
+}
+
+// TestWriteBundleStreamsExports checks that the on-disk exports, streamed
+// to their files, hold exactly the in-memory export bytes, and that writing
+// again truncates rather than appends.
+func TestWriteBundleStreamsExports(t *testing.T) {
+	res, err := ProbeRun(ProbeConfig{
+		Name: "stream/probe", Seed: 5, Profile: PE2650, Tuning: Optimized(9000),
+		Count: 200, Payload: 8948, Telemetry: telemetry.Options{Enabled: true},
+	})
+	if err != nil {
+		t.Fatalf("ProbeRun: %v", err)
+	}
+	dir := t.TempDir()
+	for i := 0; i < 2; i++ {
+		if err := WriteBundle(dir, res.Bundle); err != nil {
+			t.Fatalf("WriteBundle: %v", err)
+		}
+	}
+	for ext, want := range map[string][]byte{
+		".jsonl": res.Bundle.ExportJSONL(),
+		".csv":   res.Bundle.ExportCSV(),
+	} {
+		got, err := os.ReadFile(filepath.Join(dir, "stream-probe"+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s file (%d B) differs from the in-memory export (%d B)", ext, len(got), len(want))
 		}
 	}
 }

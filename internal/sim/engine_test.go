@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -36,6 +37,42 @@ func TestFIFOTieBreak(t *testing.T) {
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-time events ran out of order: %v", got)
+		}
+	}
+}
+
+// TestInjectCallOrdersByCreationTime pins InjectCall's (at, ct, seq)
+// position: an event injected at an instant that already holds queued
+// events runs before them when it was created earlier, and after them (by
+// seq) when created at the same instant. Both the ready list (the current
+// wheel slot) and a future slot, drained later, are covered.
+func TestInjectCallOrdersByCreationTime(t *testing.T) {
+	const start = 5 * units.Millisecond
+	for _, tc := range []struct {
+		name string
+		at   units.Time
+	}{
+		{"ready list", start + 100},
+		{"future slot", start + 40<<wheelSlotBits},
+	} {
+		for _, ct := range []units.Time{start - 3, start} {
+			e := NewEngine(1)
+			e.Schedule(start, func() {})
+			e.Run()
+			var got []string
+			note := func(arg any) { got = append(got, arg.(string)) }
+			e.ScheduleCall(tc.at, note, "queued1")
+			e.ScheduleCall(tc.at, note, "queued2")
+			e.InjectCall(tc.at, ct, note, "injected")
+			e.ScheduleCall(tc.at+1, note, "later")
+			e.Run()
+			want := "[injected queued1 queued2 later]"
+			if ct == start {
+				want = "[queued1 queued2 injected later]"
+			}
+			if fmt.Sprint(got) != want {
+				t.Errorf("%s, ct %d ps: order %v, want %s", tc.name, int64(ct), got, want)
+			}
 		}
 	}
 }

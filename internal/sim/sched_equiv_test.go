@@ -69,6 +69,15 @@ func (p *schedPair) schedule(at units.Time) {
 	p.ht = append(p.ht, he.Schedule(at, func() { p.hlog = append(p.hlog, fmt.Sprintf("t=%v id=%d", he.Now(), id)) }))
 }
 
+// inject arms one logged event at at on both engines through InjectCall,
+// with creation time ct, as a parallel-DES shard delivers a remote packet.
+func (p *schedPair) inject(at, ct units.Time) {
+	id := len(p.wt)
+	we, he := p.wheel, p.heap
+	p.wt = append(p.wt, we.InjectCall(at, ct, func(any) { p.wlog = append(p.wlog, fmt.Sprintf("t=%v id=%d", we.Now(), id)) }, nil))
+	p.ht = append(p.ht, he.InjectCall(at, ct, func(any) { p.hlog = append(p.hlog, fmt.Sprintf("t=%v id=%d", he.Now(), id)) }, nil))
+}
+
 // slotEdge returns the first picosecond of the level-0 wheel slot n slots
 // after the one holding now.
 func slotEdge(now units.Time, n int64) units.Time {
@@ -79,11 +88,12 @@ func slotEdge(now units.Time, n int64) units.Time {
 // engines identically. Delays mix near ticks with multi-level spans so
 // events cross wheel level boundaries and collide on identical instants;
 // ops 6-9 aim at the edges of the wheel's coarse level-0 slots, where a
-// drained slot's events arrive out of time order.
+// drained slot's events arrive out of time order; op 10 injects an event
+// created before the ones already queued at its instant.
 func (p *schedPair) apply(op uint8, arg uint32) error {
 	a := int64(arg)
 	now := p.wheel.Now()
-	switch op % 10 {
+	switch op % 11 {
 	case 0: // schedule a near event (usually inside the current slot)
 		p.schedule(now + units.Time(a%5000))
 	case 1: // schedule a far-future event (upper wheel levels)
@@ -143,6 +153,15 @@ func (p *schedPair) apply(op uint8, arg uint32) error {
 		if err := p.reschedule(i, at); err != nil {
 			return err
 		}
+	case 10: // InjectCall behind queued work: two events at one instant, then
+		// an injected one created 1-4 ps before them, which must run first
+		at := now + 1 + units.Time(a%3000) // the ready list
+		if a&1 != 0 {
+			at = slotEdge(now, 1+(a>>1)%3) + units.Time(a%3000) // a future slot
+		}
+		p.schedule(at)
+		p.schedule(at)
+		p.inject(at, now-1-units.Time((a>>4)%4))
 	}
 	return p.check()
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"tengig/internal/units"
@@ -64,9 +65,56 @@ type metricsLine struct {
 	FleetMetrics
 }
 
+// Sample and event lines, nearly every byte of a long run's export, are
+// rendered without reflection by appendSample and appendEvent. The strings
+// in them are still encoded by encoding/json, each once per connection,
+// state run or event kind, so escaping is json's own. FuzzJSONLRecord pins
+// both line types to json.Marshal byte for byte.
+const (
+	exportBufSize = 64 << 10
+	lineBufSize   = 512
+)
+
 // WriteJSONL writes the bundle as JSON lines.
 func (b *Bundle) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+	return export(w, b.renderJSONL)
+}
+
+// WriteCSV writes the sampled instrument series as one CSV table (all
+// connections, in registration order), deterministic like the JSONL.
+func (b *Bundle) WriteCSV(w io.Writer) error {
+	return export(w, b.renderCSV)
+}
+
+// export runs render into w through a 64 KiB buffer. When w can grow ahead
+// of a write (a *bytes.Buffer, say), a sizing pass first renders into a byte
+// counter and w grows once, to the exact size, instead of doubling its way
+// there and copying every byte at each step. The choice depends only on w's
+// type, the way io.Copy picks ReaderFrom.
+func export(w io.Writer, render func(*bufio.Writer) error) error {
+	bw := bufio.NewWriterSize(w, exportBufSize)
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		var n byteCounter
+		bw.Reset(&n)
+		if err := render(bw); err != nil {
+			return err
+		}
+		g.Grow(int(n))
+		bw.Reset(w)
+	}
+	return render(bw)
+}
+
+// byteCounter is an io.Writer that only counts.
+type byteCounter int
+
+func (n *byteCounter) Write(p []byte) (int, error) {
+	*n += byteCounter(len(p))
+	return len(p), nil
+}
+
+// renderJSONL writes the JSONL export into bw and flushes it.
+func (b *Bundle) renderJSONL(bw *bufio.Writer) error {
 	enc := func(v any) error {
 		j, err := json.Marshal(v)
 		if err != nil {
@@ -78,21 +126,37 @@ func (b *Bundle) WriteJSONL(w io.Writer) error {
 	if err := enc(metaLine{Type: "meta", Schema: SchemaVersion, Name: b.Name, Seed: b.Seed}); err != nil {
 		return err
 	}
+	line := make([]byte, 0, lineBufSize)
+	var state string
+	var stateJSON []byte
 	for _, r := range b.Conns {
 		ds, de := r.Dropped()
-		events := r.Events()
+		samples, events := r.Samples(), r.Events()
 		if err := enc(connLine{Type: "conn", Conn: r.Name(),
-			Samples: len(r.Samples()), Events: len(events),
+			Samples: len(samples), Events: len(events),
 			DroppedSamples: ds, DroppedEvents: de}); err != nil {
 			return err
 		}
-		for _, s := range r.Samples() {
-			if err := enc(sampleLine{Type: "sample", Conn: r.Name(), Sample: s}); err != nil {
+		conn, err := json.Marshal(r.Name())
+		if err != nil {
+			return err
+		}
+		for i := range samples {
+			s := &samples[i]
+			if stateJSON == nil || s.State != state {
+				if stateJSON, err = json.Marshal(s.State); err != nil {
+					return err
+				}
+				state = s.State
+			}
+			line = appendSample(line[:0], conn, stateJSON, s)
+			if _, err := bw.Write(line); err != nil {
 				return err
 			}
 		}
-		for _, ev := range events {
-			if err := enc(eventLine{Type: "event", Conn: r.Name(), Kind: ev.Kind.String(), Event: ev}); err != nil {
+		for i := range events {
+			line = appendEvent(line[:0], conn, &events[i])
+			if _, err := bw.Write(line); err != nil {
 				return err
 			}
 		}
@@ -120,23 +184,99 @@ func (b *Bundle) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteCSV writes the sampled instrument series as one CSV table (all
-// connections, in registration order), deterministic like the JSONL.
-func (b *Bundle) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "conn,at_ps,state,cwnd,ssthresh,srtt_ps,rttvar_ps,rto_ps,"+
-		"snd_una,snd_nxt,inflight,peer_wnd,adv_wnd,persist_shift,"+
-		"retrans,fast_retrans,timeouts,dup_acks")
+// sampleIntKeys are the JSON keys of Sample's integer fields after State, in
+// declaration order — encoding/json's order and the CSV column order.
+var sampleIntKeys = [...]string{
+	`,"cwnd":`, `,"ssthresh":`, `,"srtt_ps":`, `,"rttvar_ps":`, `,"rto_ps":`,
+	`,"snd_una":`, `,"snd_nxt":`, `,"inflight":`, `,"peer_wnd":`, `,"adv_wnd":`,
+	`,"persist_shift":`, `,"retrans":`, `,"fast_retrans":`, `,"timeouts":`, `,"dup_acks":`,
+}
+
+// sampleInts returns s's integer fields after State, in sampleIntKeys order.
+func sampleInts(s *Sample) [len(sampleIntKeys)]int64 {
+	return [...]int64{
+		int64(s.Cwnd), int64(s.Ssthresh), int64(s.SRTT), int64(s.RTTVar), int64(s.RTO),
+		s.SndUna, s.SndNxt, s.InFlight, s.PeerWnd, s.AdvWnd,
+		int64(s.PersistShift), s.Retransmits, s.FastRetrans, s.Timeouts, s.DupAcksIn,
+	}
+}
+
+// appendSample appends s's "sample" line, newline included, exactly as
+// json.Marshal(sampleLine{...}) renders it. conn and state are the
+// connection name and s.State already encoded as JSON strings.
+func appendSample(dst, conn, state []byte, s *Sample) []byte {
+	dst = append(dst, `{"type":"sample","conn":`...)
+	dst = append(dst, conn...)
+	dst = appendField(dst, `,"at_ps":`, int64(s.At))
+	dst = append(dst, `,"state":`...)
+	dst = append(dst, state...)
+	for i, v := range sampleInts(s) {
+		dst = appendField(dst, sampleIntKeys[i], v)
+	}
+	return append(dst, "}\n"...)
+}
+
+// kindJSON holds every event kind's export name as a JSON string, with
+// "unknown" for out-of-range kinds in the last slot.
+var kindJSON = func() (t [numEventKinds + 1][]byte) {
+	for k := range t {
+		t[k], _ = json.Marshal(EventKind(k).String())
+	}
+	return t
+}()
+
+// appendEvent appends ev's "event" line, newline included, exactly as
+// json.Marshal(eventLine{...}) renders it. conn is the connection name
+// already encoded as a JSON string.
+func appendEvent(dst, conn []byte, ev *Event) []byte {
+	dst = append(dst, `{"type":"event","conn":`...)
+	dst = append(dst, conn...)
+	dst = append(dst, `,"kind":`...)
+	dst = append(dst, kindJSON[min(ev.Kind, numEventKinds)]...)
+	dst = appendField(dst, `,"at_ps":`, int64(ev.At))
+	dst = appendField(dst, `,"seq":`, ev.Seq)
+	dst = appendField(dst, `,"cwnd":`, int64(ev.Cwnd))
+	dst = appendField(dst, `,"ssthresh":`, int64(ev.Ssthresh))
+	dst = appendField(dst, `,"aux":`, ev.Aux)
+	return append(dst, "}\n"...)
+}
+
+func appendField(dst []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(dst, key...), v, 10)
+}
+
+const csvHeader = "conn,at_ps,state,cwnd,ssthresh,srtt_ps,rttvar_ps,rto_ps," +
+	"snd_una,snd_nxt,inflight,peer_wnd,adv_wnd,persist_shift," +
+	"retrans,fast_retrans,timeouts,dup_acks\n"
+
+// renderCSV writes the CSV export into bw and flushes it.
+func (b *Bundle) renderCSV(bw *bufio.Writer) error {
+	bw.WriteString(csvHeader)
+	line := make([]byte, 0, lineBufSize)
 	for _, r := range b.Conns {
-		for _, s := range r.Samples() {
-			fmt.Fprintf(bw, "%s,%d,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-				r.Name(), int64(s.At), s.State, s.Cwnd, s.Ssthresh,
-				int64(s.SRTT), int64(s.RTTVar), int64(s.RTO),
-				s.SndUna, s.SndNxt, s.InFlight, s.PeerWnd, s.AdvWnd,
-				s.PersistShift, s.Retransmits, s.FastRetrans, s.Timeouts, s.DupAcksIn)
+		samples := r.Samples()
+		for i := range samples {
+			line = appendCSVRow(line[:0], r.Name(), &samples[i])
+			if _, err := bw.Write(line); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
+}
+
+// appendCSVRow appends s's CSV row, newline included. Strings go in raw,
+// as the export always wrote them.
+func appendCSVRow(dst []byte, conn string, s *Sample) []byte {
+	dst = append(dst, conn...)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(s.At), 10)
+	dst = append(dst, ',')
+	dst = append(dst, s.State...)
+	for _, v := range sampleInts(s) {
+		dst = strconv.AppendInt(append(dst, ','), v, 10)
+	}
+	return append(dst, '\n')
 }
 
 // ExportJSONL renders the JSONL export to bytes (determinism checks).
@@ -164,12 +304,14 @@ func (b *Bundle) ExportCSV() []byte {
 // exports that grew new line types.
 func ParseJSONL(data []byte) (*Bundle, error) {
 	b := &Bundle{opt: Options{MaxSamples: 1 << 30, MaxEvents: 1 << 30}}
-	var typ struct {
-		Type string `json:"type"`
-	}
 	for ln, line := range bytes.Split(data, []byte("\n")) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
+		}
+		// Fresh per line: a line without a type must not inherit the
+		// previous line's.
+		var typ struct {
+			Type string `json:"type"`
 		}
 		if err := json.Unmarshal(line, &typ); err != nil {
 			return nil, fmt.Errorf("telemetry: line %d: %w", ln+1, err)
