@@ -66,10 +66,11 @@ type metricsLine struct {
 }
 
 // Sample and event lines, nearly every byte of a long run's export, are
-// rendered without reflection by appendSample and appendEvent. The strings
-// in them are still encoded by encoding/json, each once per connection,
-// state run or event kind, so escaping is json's own. FuzzJSONLRecord pins
-// both line types to json.Marshal byte for byte.
+// rendered without reflection by appendSample and appendEvent into one
+// reused line buffer. The strings in them are still encoded by
+// encoding/json, each once per connection, state run or event kind, so
+// escaping is json's own. FuzzJSONLRecord pins both line types to
+// json.Marshal byte for byte.
 const (
 	exportBufSize = 64 << 10
 	lineBufSize   = 512
@@ -77,44 +78,7 @@ const (
 
 // WriteJSONL writes the bundle as JSON lines.
 func (b *Bundle) WriteJSONL(w io.Writer) error {
-	return export(w, b.renderJSONL)
-}
-
-// WriteCSV writes the sampled instrument series as one CSV table (all
-// connections, in registration order), deterministic like the JSONL.
-func (b *Bundle) WriteCSV(w io.Writer) error {
-	return export(w, b.renderCSV)
-}
-
-// export runs render into w through a 64 KiB buffer. When w can grow ahead
-// of a write (a *bytes.Buffer, say), a sizing pass first renders into a byte
-// counter and w grows once, to the exact size, instead of doubling its way
-// there and copying every byte at each step. The choice depends only on w's
-// type, the way io.Copy picks ReaderFrom.
-func export(w io.Writer, render func(*bufio.Writer) error) error {
 	bw := bufio.NewWriterSize(w, exportBufSize)
-	if g, ok := w.(interface{ Grow(int) }); ok {
-		var n byteCounter
-		bw.Reset(&n)
-		if err := render(bw); err != nil {
-			return err
-		}
-		g.Grow(int(n))
-		bw.Reset(w)
-	}
-	return render(bw)
-}
-
-// byteCounter is an io.Writer that only counts.
-type byteCounter int
-
-func (n *byteCounter) Write(p []byte) (int, error) {
-	*n += byteCounter(len(p))
-	return len(p), nil
-}
-
-// renderJSONL writes the JSONL export into bw and flushes it.
-func (b *Bundle) renderJSONL(bw *bufio.Writer) error {
 	enc := func(v any) error {
 		j, err := json.Marshal(v)
 		if err != nil {
@@ -184,35 +148,50 @@ func (b *Bundle) renderJSONL(bw *bufio.Writer) error {
 	return bw.Flush()
 }
 
-// sampleIntKeys are the JSON keys of Sample's integer fields after State, in
-// declaration order — encoding/json's order and the CSV column order.
-var sampleIntKeys = [...]string{
-	`,"cwnd":`, `,"ssthresh":`, `,"srtt_ps":`, `,"rttvar_ps":`, `,"rto_ps":`,
-	`,"snd_una":`, `,"snd_nxt":`, `,"inflight":`, `,"peer_wnd":`, `,"adv_wnd":`,
-	`,"persist_shift":`, `,"retrans":`, `,"fast_retrans":`, `,"timeouts":`, `,"dup_acks":`,
-}
-
-// sampleInts returns s's integer fields after State, in sampleIntKeys order.
-func sampleInts(s *Sample) [len(sampleIntKeys)]int64 {
-	return [...]int64{
-		int64(s.Cwnd), int64(s.Ssthresh), int64(s.SRTT), int64(s.RTTVar), int64(s.RTO),
-		s.SndUna, s.SndNxt, s.InFlight, s.PeerWnd, s.AdvWnd,
-		int64(s.PersistShift), s.Retransmits, s.FastRetrans, s.Timeouts, s.DupAcksIn,
+// WriteCSV writes the sampled instrument series as one CSV table (all
+// connections, in registration order), deterministic like the JSONL.
+func (b *Bundle) WriteCSV(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, "conn,at_ps,state,cwnd,ssthresh,srtt_ps,rttvar_ps,rto_ps,"+
+		"snd_una,snd_nxt,inflight,peer_wnd,adv_wnd,persist_shift,"+
+		"retrans,fast_retrans,timeouts,dup_acks")
+	for _, r := range b.Conns {
+		for _, s := range r.Samples() {
+			fmt.Fprintf(bw, "%s,%d,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+				r.Name(), int64(s.At), s.State, s.Cwnd, s.Ssthresh,
+				int64(s.SRTT), int64(s.RTTVar), int64(s.RTO),
+				s.SndUna, s.SndNxt, s.InFlight, s.PeerWnd, s.AdvWnd,
+				s.PersistShift, s.Retransmits, s.FastRetrans, s.Timeouts, s.DupAcksIn)
+		}
 	}
+	return bw.Flush()
 }
 
 // appendSample appends s's "sample" line, newline included, exactly as
-// json.Marshal(sampleLine{...}) renders it. conn and state are the
-// connection name and s.State already encoded as JSON strings.
+// json.Marshal(sampleLine{...}) renders it: Sample's fields in declaration
+// order. conn and state are the connection name and s.State already
+// encoded as JSON strings.
 func appendSample(dst, conn, state []byte, s *Sample) []byte {
 	dst = append(dst, `{"type":"sample","conn":`...)
 	dst = append(dst, conn...)
 	dst = appendField(dst, `,"at_ps":`, int64(s.At))
 	dst = append(dst, `,"state":`...)
 	dst = append(dst, state...)
-	for i, v := range sampleInts(s) {
-		dst = appendField(dst, sampleIntKeys[i], v)
-	}
+	dst = appendField(dst, `,"cwnd":`, int64(s.Cwnd))
+	dst = appendField(dst, `,"ssthresh":`, int64(s.Ssthresh))
+	dst = appendField(dst, `,"srtt_ps":`, int64(s.SRTT))
+	dst = appendField(dst, `,"rttvar_ps":`, int64(s.RTTVar))
+	dst = appendField(dst, `,"rto_ps":`, int64(s.RTO))
+	dst = appendField(dst, `,"snd_una":`, s.SndUna)
+	dst = appendField(dst, `,"snd_nxt":`, s.SndNxt)
+	dst = appendField(dst, `,"inflight":`, s.InFlight)
+	dst = appendField(dst, `,"peer_wnd":`, s.PeerWnd)
+	dst = appendField(dst, `,"adv_wnd":`, s.AdvWnd)
+	dst = appendField(dst, `,"persist_shift":`, int64(s.PersistShift))
+	dst = appendField(dst, `,"retrans":`, s.Retransmits)
+	dst = appendField(dst, `,"fast_retrans":`, s.FastRetrans)
+	dst = appendField(dst, `,"timeouts":`, s.Timeouts)
+	dst = appendField(dst, `,"dup_acks":`, s.DupAcksIn)
 	return append(dst, "}\n"...)
 }
 
@@ -243,40 +222,6 @@ func appendEvent(dst, conn []byte, ev *Event) []byte {
 
 func appendField(dst []byte, key string, v int64) []byte {
 	return strconv.AppendInt(append(dst, key...), v, 10)
-}
-
-const csvHeader = "conn,at_ps,state,cwnd,ssthresh,srtt_ps,rttvar_ps,rto_ps," +
-	"snd_una,snd_nxt,inflight,peer_wnd,adv_wnd,persist_shift," +
-	"retrans,fast_retrans,timeouts,dup_acks\n"
-
-// renderCSV writes the CSV export into bw and flushes it.
-func (b *Bundle) renderCSV(bw *bufio.Writer) error {
-	bw.WriteString(csvHeader)
-	line := make([]byte, 0, lineBufSize)
-	for _, r := range b.Conns {
-		samples := r.Samples()
-		for i := range samples {
-			line = appendCSVRow(line[:0], r.Name(), &samples[i])
-			if _, err := bw.Write(line); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// appendCSVRow appends s's CSV row, newline included. Strings go in raw,
-// as the export always wrote them.
-func appendCSVRow(dst []byte, conn string, s *Sample) []byte {
-	dst = append(dst, conn...)
-	dst = append(dst, ',')
-	dst = strconv.AppendInt(dst, int64(s.At), 10)
-	dst = append(dst, ',')
-	dst = append(dst, s.State...)
-	for _, v := range sampleInts(s) {
-		dst = strconv.AppendInt(append(dst, ','), v, 10)
-	}
-	return append(dst, '\n')
 }
 
 // ExportJSONL renders the JSONL export to bytes (determinism checks).

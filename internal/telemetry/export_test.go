@@ -230,25 +230,8 @@ func referenceJSONL(b *Bundle) []byte {
 	return buf.Bytes()
 }
 
-// referenceCSV is the CSV export as written with one fmt.Fprintf per row.
-func referenceCSV(b *Bundle) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(csvHeader)
-	for _, r := range b.Conns {
-		for _, s := range r.Samples() {
-			fmt.Fprintf(&buf, "%s,%d,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-				r.Name(), int64(s.At), s.State, s.Cwnd, s.Ssthresh,
-				int64(s.SRTT), int64(s.RTTVar), int64(s.RTO),
-				s.SndUna, s.SndNxt, s.InFlight, s.PeerWnd, s.AdvWnd,
-				s.PersistShift, s.Retransmits, s.FastRetrans, s.Timeouts, s.DupAcksIn)
-		}
-	}
-	return buf.Bytes()
-}
-
-// TestExportsMatchReference checks random bundles, through every writer
-// shape (growable buffer, plain writer), against the json.Marshal and
-// fmt.Fprintf renderings the exports replaced.
+// TestExportsMatchReference checks random bundles against the export as
+// written when every line went through json.Marshal.
 func TestExportsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
@@ -258,48 +241,8 @@ func TestExportsMatchReference(t *testing.T) {
 				Ports: []FabricPortCounters{{Link: "a/up", Bytes: 9000}}})
 			b.Metrics = &FleetMetrics{Flows: 2, Fairness: 0.75}
 		}
-		wantJ, wantC := referenceJSONL(b), referenceCSV(b)
-		if got := b.ExportJSONL(); !bytes.Equal(got, wantJ) {
-			t.Fatalf("bundle %d: JSONL differs from json.Marshal:\n got %q\nwant %q", i, got, wantJ)
-		}
-		if got := b.ExportCSV(); !bytes.Equal(got, wantC) {
-			t.Fatalf("bundle %d: CSV differs from fmt.Fprintf:\n got %q\nwant %q", i, got, wantC)
-		}
-		var j, c strings.Builder // wrapped below to hide Grow: the single-pass path
-		if err := b.WriteJSONL(struct{ io.Writer }{&j}); err != nil || j.String() != string(wantJ) {
-			t.Fatalf("bundle %d: JSONL through a plain writer differs (err %v)", i, err)
-		}
-		if err := b.WriteCSV(struct{ io.Writer }{&c}); err != nil || c.String() != string(wantC) {
-			t.Fatalf("bundle %d: CSV through a plain writer differs (err %v)", i, err)
-		}
-	}
-}
-
-// TestExportGrowsOnce checks the sizing pass: exporting into an empty
-// bytes.Buffer costs exactly one allocation more than exporting into one
-// already big enough — the buffer grows once, straight to its final size.
-func TestExportGrowsOnce(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not reproducible under -race")
-	}
-	b := encodeBundle(3, 2000)
-	var grown bytes.Buffer
-	for name, export := range map[string]func(io.Writer) error{"jsonl": b.WriteJSONL, "csv": b.WriteCSV} {
-		empty := make([]bytes.Buffer, 4) // AllocsPerRun's warm-up plus three runs
-		fresh := testing.AllocsPerRun(3, func() {
-			if err := export(&empty[0]); err != nil {
-				t.Fatal(err)
-			}
-			empty = empty[1:]
-		})
-		reused := testing.AllocsPerRun(3, func() {
-			grown.Reset()
-			if err := export(&grown); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if fresh != reused+1 {
-			t.Errorf("%s: %v allocs into an empty buffer, %v into a grown one; want exactly one more", name, fresh, reused)
+		if got, want := b.ExportJSONL(), referenceJSONL(b); !bytes.Equal(got, want) {
+			t.Fatalf("bundle %d: JSONL differs from json.Marshal:\n got %q\nwant %q", i, got, want)
 		}
 	}
 }
@@ -362,9 +305,9 @@ func fuzzFields(n int, a, b int64, raw []byte) []int64 {
 	return out
 }
 
-// FuzzJSONLRecord proves the hand-rendered sample and event lines (and the
-// CSV row) byte-identical to json.Marshal (and fmt.Fprintf) for arbitrary
-// names, states, kinds and integers.
+// FuzzJSONLRecord proves the hand-rendered sample and event lines
+// byte-identical to json.Marshal for arbitrary names, states, kinds and
+// integers.
 func FuzzJSONLRecord(f *testing.F) {
 	f.Add("send/flow1", "established", uint8(EventRTO), int64(1), int64(2), []byte(nil))
 	f.Add(`q"uo\te`, `back\slash "state"`, uint8(EventFastRetransmit), int64(-7), int64(9), []byte("12345678"))
@@ -393,11 +336,6 @@ func FuzzJSONLRecord(f *testing.F) {
 		want, _ = json.Marshal(eventLine{Type: "event", Conn: conn, Kind: ev.Kind.String(), Event: ev})
 		if got := appendEvent(nil, connJSON, &ev); string(got) != string(want)+"\n" {
 			t.Fatalf("event line\n got %q\nwant %q", got, want)
-		}
-		b1 := NewBundle("fuzz", 1, Options{})
-		b1.Conn(conn).RecordSample(s)
-		if got, want := b1.ExportCSV(), referenceCSV(b1); !bytes.Equal(got, want) {
-			t.Fatalf("CSV row\n got %q\nwant %q", got, want)
 		}
 	})
 }

@@ -4,5 +4,5 @@ package telemetry
 
 // raceEnabled reports a -race build. The race runtime changes allocation
 // counts (sync.Pool, which encoding/json's encoder uses, drops items at
-// random), so the allocation tests skip there and run without -race.
+// random), so the allocation test skips there and run without -race.
 const raceEnabled = true
